@@ -28,7 +28,7 @@ func benchDeployment(b *testing.B) *Deployment {
 	return benchDep
 }
 
-// The serve benchmarks drive the BENCH_PR9.json decisions/sec gate: the
+// The serve benchmarks drive the BENCH_PR10.json decisions/sec gate: the
 // same daemon, same deployment, same offered load at 1 and 4 decision
 // workers. cmd/benchgate ratios the two medians and fails CI when the
 // 4-worker daemon does not clear the required speedup over the 1-worker
@@ -148,7 +148,7 @@ func BenchmarkPerHopRouteK120(b *testing.B) { benchRoutes(b, "perhop") }
 
 // BenchmarkDecideK120 is the allocation-gated microbenchmark of the service
 // backend alone — frame decode, packet reconstruction, GMP decision,
-// forward re-encode — without transport. BENCH_PR9.json gates its
+// forward re-encode — without transport. BENCH_PR10.json gates its
 // allocs/op: the request path must stay flat-allocation no matter how
 // large the destination group.
 func BenchmarkDecideK120(b *testing.B) {

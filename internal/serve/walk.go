@@ -14,10 +14,11 @@ package serve
 // streamed mode's throughput comes from (BenchmarkRouteK120 vs
 // BenchmarkPerHopRouteK120; E-X14 measures the same ratio end to end).
 //
-// Fidelity: the walker mirrors the engine's copy-event semantics
-// (send's invalid-send and hop-budget checks, arrive's strip-then-decide,
-// stranded and drop-sentinel billing, first-delivery-wins) but keeps full
-// in-memory routing state between hops — perimeter watchdog fields and the
+// Fidelity: the walker applies the simulation kernel's copy rules, sharing
+// its helpers where the rule is a predicate or a header edit (sim.ValidHop
+// for invalid sends, Packet.Strip for strip-then-decide): hop-budget
+// checks, stranded and drop-sentinel billing, first-delivery-wins. It keeps
+// full in-memory routing state between hops — perimeter watchdog fields and the
 // previous hop survive, which the per-hop wire format cannot carry. Copies
 // advance in FIFO order from a breadth-first queue, so arrivals are
 // processed in nondecreasing hop order and the first delivery at a
@@ -180,8 +181,8 @@ func (d *decider) walkRoute(protoName string, rb wire.RouteBody, emit func(hb wi
 
 	var queue []walkItem
 	head := 0
-	// step runs one decision at node on pkt and applies its forwards,
-	// mirroring Engine.apply/send: explicit drop sentinels kill with their
+	// step runs one decision at node on pkt and applies its forwards under
+	// the kernel's apply/send rules: explicit drop sentinels kill with their
 	// reasons; transmissions are range-checked, hop-bumped, budget-checked,
 	// then enqueued as fresh pooled copies.
 	step := func(op byte, node int, pkt *sim.Packet, pooled bool) error {
@@ -217,9 +218,9 @@ func (d *decider) walkRoute(protoName string, rb wire.RouteBody, emit func(hb wi
 					return err
 				}
 			default:
-				if r.To < 0 || r.To >= nw.Len() || node == r.To || !nw.InRange(node, r.To) {
+				if !sim.ValidHop(nw, node, r.To) {
 					bill(r.Dests, sim.ReasonInvalidSend)
-					continue // no transmission, exactly like Engine.send
+					continue // no transmission, like the kernel's send
 				}
 				hops := pkt.Hops + 1
 				if budget > 0 && hops > budget {
@@ -260,25 +261,14 @@ func (d *decider) walkRoute(protoName string, rb wire.RouteBody, emit func(hb wi
 		it := queue[head]
 		queue[head] = walkItem{}
 		head++
-		// Arrive: strip destinations delivered here (first delivery wins),
-		// then decide if work remains — the engine's arrive, verbatim.
+		// Arrive: strip the destination delivered here (first delivery
+		// wins), then decide if work remains — the kernel's arrive.
 		q := it.pkt
-		kept, keptL := q.Dests[:0], q.Locs[:0]
-		for i, id := range q.Dests {
-			if id == it.node {
-				if _, dup := delivered[id]; !dup {
-					h := q.Hops
-					if h > 0xFFFF {
-						h = 0xFFFF
-					}
-					delivered[id] = uint16(h)
-				}
-				continue
+		if q.Strip(it.node) > 0 {
+			if _, dup := delivered[it.node]; !dup {
+				delivered[it.node] = uint16(min(q.Hops, 0xFFFF))
 			}
-			kept = append(kept, id)
-			keptL = append(keptL, q.Locs[i])
 		}
-		q.Dests, q.Locs = kept, keptL
 		if len(q.Dests) == 0 {
 			// Fully delivered; this copy was never shown to a handler, so
 			// its storage goes back to the pool for the next hop's clone.

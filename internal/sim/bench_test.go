@@ -2,24 +2,27 @@ package sim
 
 import "testing"
 
+// BenchmarkSchedulerThroughput measures one schedule + pop on a lane's
+// event heap in steady state (one event in flight).
 func BenchmarkSchedulerThroughput(b *testing.B) {
-	var s Scheduler
-	b.ResetTimer()
+	var ln lane
 	for i := 0; i < b.N; i++ {
-		s.After(1, func() {})
-		if !s.Step() {
-			b.Fatal("no event")
-		}
+		ln.schedule(event{time: ln.now + 1})
+		ln.now = ln.q.pop().time
 	}
 }
 
+// BenchmarkSchedulerDeepQueue fills a fresh lane with 1024 events in
+// reverse time order and drains it.
 func BenchmarkSchedulerDeepQueue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		var s Scheduler
+		var ln lane
 		for j := 0; j < 1024; j++ {
-			s.At(float64(1024-j), func() {})
+			ln.schedule(event{time: float64(1024 - j)})
 		}
-		s.Run()
+		for len(ln.q) > 0 {
+			ln.now = ln.q.pop().time
+		}
 	}
 }
 

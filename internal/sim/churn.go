@@ -180,124 +180,122 @@ func (p ChurnPlan) newSessionChurn(session, src int, dests []int) *sessionChurn 
 	return sc
 }
 
-// applyChurn advances a session's churn events to the current virtual time
-// and applies them to the packet in hand: fired leaves retire destinations
-// from the header (billed as ReasonLeft, once per destination even when
-// duplicate copies carry it), and fired joins splice into this copy's header
-// so the next decision re-plans around the newcomer. Called at Start and on
-// every hop arrival, before delivery bookkeeping — so a leave beats a
-// delivery at the exact same instant.
-//
-// at is the node holding the packet. Anchor-steered protocols (LGS/LGK)
-// keep a destination ID in pkt.Anchor and look up its header location every
-// relay hop; retiring that destination would leave the anchor dangling, so
-// the copy is re-anchored at the holding node — the handler sees itself as
-// the subtree root and re-partitions around the departure.
-func (e *Engine) applyChurn(pkt *Packet, at int) {
-	st := &e.sessions[pkt.Session]
-	sc := st.churn
-	now := e.sched.Now()
-	for sc.next < len(sc.events) && sc.events[sc.next].at <= now {
+// fire advances sc's events to time t: a fired leave marks its node left
+// (retired from every header it still rides, never to rejoin); a fired join
+// of a node that is not, and never was, a member queues for splicing, and
+// any other join is counted missed in m. It reports whether a leave fired.
+func (sc *sessionChurn) fire(t float64, m *SessionMetrics) (newLeaves bool) {
+	for sc.next < len(sc.events) && sc.events[sc.next].at <= t {
 		ev := sc.events[sc.next]
 		sc.next++
 		if !ev.join {
 			sc.left[ev.node] = true
+			newLeaves = true
 			continue
 		}
 		if sc.member[ev.node] || sc.left[ev.node] {
-			st.metrics.JoinsMissed++
+			m.JoinsMissed++
 			continue
 		}
 		sc.member[ev.node] = true
 		sc.ready = append(sc.ready, ev.node)
 	}
-	if len(sc.left) > 0 {
-		kept := pkt.Dests[:0]
-		keptL := pkt.Locs[:0]
-		var retiredN int
-		for i, d := range pkt.Dests {
-			if sc.left[d] {
-				if !sc.retired[d] {
-					if sc.retired == nil {
-						sc.retired = make(map[int]bool)
-					}
-					sc.retired[d] = true
-					retiredN++
-				}
-				continue
+	return newLeaves
+}
+
+// retire strips every left destination from pkt's header and reports how
+// many of them were retired for the first time (duplicate copies — geocast —
+// must not double-count a retirement). Anchor-steered protocols (LGS/LGK)
+// keep a destination ID in pkt.Anchor and look up its header location every
+// relay hop; retiring that destination would leave the anchor dangling, so
+// the copy is re-anchored at holder, the node holding the packet — the
+// handler sees itself as the subtree root and re-partitions around the
+// departure.
+func (sc *sessionChurn) retire(pkt *Packet, holder int) int {
+	var n int
+	for i := 0; i < len(pkt.Dests); {
+		d := pkt.Dests[i]
+		if !sc.left[d] {
+			i++
+			continue
+		}
+		pkt.Strip(d)
+		if !sc.retired[d] {
+			if sc.retired == nil {
+				sc.retired = make(map[int]bool)
 			}
-			kept = append(kept, d)
-			keptL = append(keptL, pkt.Locs[i])
+			sc.retired[d] = true
+			n++
 		}
-		pkt.Dests = kept
-		pkt.Locs = keptL
-		if pkt.Anchor >= 0 && sc.left[pkt.Anchor] {
-			pkt.Anchor = at
+	}
+	if pkt.Anchor >= 0 && sc.left[pkt.Anchor] {
+		pkt.Anchor = holder
+	}
+	return n
+}
+
+// splice boards every ready join onto pkt at time now, so the next decision
+// re-plans around the newcomers. A join whose leave overtook it before any
+// packet passed by is counted missed; the source joining its own group is
+// trivially delivered where the task originated, at hop 0.
+func (sc *sessionChurn) splice(pkt *Packet, now float64, pos func(int) geom.Point, m *SessionMetrics) {
+	for _, j := range sc.ready {
+		if sc.left[j] {
+			m.JoinsMissed++
+			continue
 		}
-		if retiredN > 0 {
-			st.metrics.DropsByReason[ReasonLeft]++
-			st.metrics.DestDropsByReason[ReasonLeft] += retiredN
+		m.DestCount++
+		m.JoinsSpliced++
+		if j == sc.src {
+			m.Delivered[j] = 0
+			m.DeliveredAt[j] = now
+			continue
+		}
+		pkt.Dests = append(pkt.Dests, j)
+		pkt.Locs = append(pkt.Locs, pos(j))
+	}
+	sc.ready = sc.ready[:0]
+}
+
+// hopChurn is the single-queue policy's churn: it advances the session's
+// events to now and applies them to the packet in hand — fired leaves
+// retire destinations (billed as ReasonLeft, one event per affected copy),
+// fired joins splice into this copy. Called at Start and on every hop
+// arrival, before delivery bookkeeping, so a leave beats a delivery at the
+// exact same instant. at is the node holding the packet. The tiled policy
+// applies churn at window barriers instead (shard_churn.go).
+func (r *kernelRun) hopChurn(pkt *Packet, at int, now float64) {
+	if r.tiled || r.churn == nil || r.churn[pkt.Session] == nil {
+		return
+	}
+	sc, m := r.churn[pkt.Session], &r.base[pkt.Session]
+	sc.fire(now, m)
+	if len(sc.left) > 0 {
+		if n := sc.retire(pkt, at); n > 0 {
+			m.DropsByReason[ReasonLeft]++
+			m.DestDropsByReason[ReasonLeft] += n
 		}
 	}
 	if len(sc.ready) > 0 {
-		for _, j := range sc.ready {
-			if sc.left[j] {
-				// The leave overtook the join before any packet passed by.
-				st.metrics.JoinsMissed++
-				continue
-			}
-			st.metrics.DestCount++
-			st.metrics.JoinsSpliced++
-			if j == sc.src {
-				// The source joined its own group: trivially delivered where
-				// the task originated, at hop 0.
-				st.metrics.Delivered[j] = 0
-				st.metrics.DeliveredAt[j] = now
-				continue
-			}
-			pkt.Dests = append(pkt.Dests, j)
-			pkt.Locs = append(pkt.Locs, e.net.Pos(j))
-		}
-		sc.ready = sc.ready[:0]
+		sc.splice(pkt, now, r.e.net.Pos, m)
 	}
 }
 
-// billUncovered bills destinations aboard pkt that no forward in fwds
-// carries. Correct partition-discipline cores hand every remaining
-// destination to exactly one forward, but a spliced-in join can fall outside
-// state a core froze at Start (SMT's embedded source route is the canonical
-// case) — the copy forwards on without the newcomer, which would otherwise
-// leak out of the conservation accounting. Billed as ReasonStranded: the
-// protocol had no plan for the destination. Only churn-affected sessions run
-// this scan, so churn-free runs stay byte-identical.
-func (e *Engine) billUncovered(pkt *Packet, fwds []Forward) {
-	st := &e.sessions[pkt.Session]
-	var n int
-	for _, d := range pkt.Dests {
-		covered := false
-	scan:
-		for _, f := range fwds {
-			for _, fd := range f.Pkt.Dests {
-				if fd == d {
-					covered = true
-					break scan
-				}
+// churnEpilogue counts joins that never fired (the session finished first)
+// or fired with no packet left to board as missed, so every scheduled join
+// lands in exactly one of JoinsSpliced/JoinsMissed.
+func (r *kernelRun) churnEpilogue() {
+	for si, sc := range r.churn {
+		if sc == nil {
+			continue
+		}
+		for ; sc.next < len(sc.events); sc.next++ {
+			if sc.events[sc.next].join {
+				r.base[si].JoinsMissed++
 			}
 		}
-		if !covered {
-			n++
-			if st.pending != nil {
-				if _, seen := st.pending[d]; !seen {
-					st.pending[d] = ReasonStranded
-				}
-			}
-		}
-	}
-	if n > 0 {
-		st.metrics.DropsByReason[ReasonStranded]++
-		if st.pending == nil {
-			st.metrics.DestDropsByReason[ReasonStranded] += n
-		}
+		r.base[si].JoinsMissed += len(sc.ready)
+		sc.ready = nil
 	}
 }
 

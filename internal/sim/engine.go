@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 	"sync"
 
 	"gmp/internal/geom"
@@ -48,28 +46,15 @@ type Packet struct {
 }
 
 // packetPool recycles Packet structs together with their Dests/Locs backing
-// arrays. Clone and CloneFor draw from it, so the per-transmission copy in
-// the engine's hot path reuses storage instead of allocating. Packets return
-// to the pool only at the engine's release points (freePacket) — sites where
-// the engine provably holds the sole reference to both the struct and its
-// slice backing. The pool is shared by all engines in the process; sync.Pool
-// is safe for the parallel campaign workers.
+// arrays for packets built outside the kernel: Clone and CloneFor draw from
+// it, and the decision service's route walker returns its copies through
+// PutPacket. (The kernel recycles its own per-hop clones on lane free lists;
+// see lane.freePkt.) sync.Pool is safe for the parallel campaign workers.
 var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 
 // getPacket returns a recycled (or fresh) packet whose Dests/Locs retain
 // capacity from a previous life.
 func getPacket() *Packet { return packetPool.Get().(*Packet) }
-
-// freePacket recycles p. The caller must own the only live reference to p
-// AND to its Dests/Locs backing arrays: the engine calls this only for
-// copies it created itself (Clone in send) that were never handed to any
-// handler — a handler may legally retain or alias a packet it was shown
-// (decisions may stash copies, and CloneFor adopts caller slices), so
-// handler-exposed packets are left to the garbage collector.
-func freePacket(p *Packet) {
-	*p = Packet{Dests: p.Dests[:0], Locs: p.Locs[:0]}
-	packetPool.Put(p)
-}
 
 // GetPacket hands a pooled packet to callers outside the engine (the
 // decision service's route walker shares the pool so streamed walks reuse
@@ -84,10 +69,12 @@ func GetPacket() *Packet {
 
 // PutPacket recycles a packet obtained from GetPacket (or built by Clone/
 // CloneFor). The caller must hold the only live reference to p and to its
-// Dests/Locs backing arrays — the same contract the engine's own release
-// points obey; packets that were shown to a protocol handler must be left
-// to the garbage collector instead.
-func PutPacket(p *Packet) { freePacket(p) }
+// Dests/Locs backing arrays; packets that were shown to a protocol handler
+// must be left to the garbage collector instead.
+func PutPacket(p *Packet) {
+	*p = Packet{Dests: p.Dests[:0], Locs: p.Locs[:0]}
+	packetPool.Put(p)
+}
 
 // Clone deep-copies the packet, so every transmitted copy owns its state.
 // The copy comes from the packet pool; its Dests/Locs never alias p's.
@@ -111,6 +98,24 @@ func (p *Packet) LocOf(id int) geom.Point {
 		}
 	}
 	panic(fmt.Sprintf("sim: destination %d not in packet header", id))
+}
+
+// Strip removes every occurrence of node from Dests, keeping Locs parallel
+// and the remaining order, and reports how many entries it removed. It is
+// the one header-edit rule for delivery at a hop and for retiring a
+// destination that left the group.
+func (p *Packet) Strip(node int) int {
+	kept := p.Dests[:0]
+	keptL := p.Locs[:0]
+	for i, d := range p.Dests {
+		if d != node {
+			kept = append(kept, d)
+			keptL = append(keptL, p.Locs[i])
+		}
+	}
+	n := len(p.Dests) - len(kept)
+	p.Dests, p.Locs = kept, keptL
+	return n
 }
 
 // CloneFor returns a clone of p carrying only the given destinations (each
@@ -441,42 +446,6 @@ type TraceEvent struct {
 // TraceFunc observes every accepted transmission.
 type TraceFunc func(TraceEvent)
 
-// sessionState is the engine's per-session bookkeeping.
-type sessionState struct {
-	handler Handler
-	metrics SessionMetrics
-	// banned holds the session's dead-link blacklist: sender node → set of
-	// neighbors ARQ gave up on from there. Installed at every ARQ give-up,
-	// so all later decisions at that node (greedy, grouping, perimeter)
-	// exclude the dead neighbor via a masking view.
-	banned map[int]map[int]bool
-	// masks caches the masking views, one per banned-at node, invalidated
-	// whenever that node's ban set grows.
-	masks map[int]*view.Masked
-	// churn is the session's membership-change bookkeeping; nil for sessions
-	// the installed ChurnPlan schedules no events for (every session of a
-	// churn-free run).
-	churn *sessionChurn
-	// pending, non-nil only for RedundantHandler sessions, defers the
-	// per-destination half of drop billing: destination → first drop reason
-	// observed, settled after the run against the delivered set.
-	pending map[int]DropReason
-}
-
-// banLink adds (from → to) to a session's dead-link blacklist.
-func (st *sessionState) banLink(from, to int) {
-	if st.banned == nil {
-		st.banned = make(map[int]map[int]bool)
-	}
-	b := st.banned[from]
-	if b == nil {
-		b = make(map[int]bool)
-		st.banned[from] = b
-	}
-	b[to] = true
-	delete(st.masks, from)
-}
-
 // Engine runs multicast tasks over a network with a given radio model:
 // one at a time via RunTask (the experiment harness's mode) or many
 // overlapping in virtual time via RunScript. Transmissions from one node
@@ -487,25 +456,23 @@ type Engine struct {
 	radio   RadioParams
 	maxHops int
 
-	sched     *Scheduler
-	sessions  []sessionState
-	busyUntil []float64
-	cur       int // session whose handler is currently executing
-	views     view.Provider
-	tracer    TraceFunc
-	perNode   bool
-	dynFrame  bool
+	views    view.Provider
+	tracer   TraceFunc
+	perNode  bool
+	dynFrame bool
 
 	faults FaultPlan
 	churn  ChurnPlan
 	arq    ARQConfig // normalized against radio when set
-	frand  *rand.Rand
-	dead   []bool // nil when the plan schedules no crashes
-	runSeq int64  // runs since SetFaults, for per-run fault seed derivation
+	runSeq int64     // runs since SetFaults, for per-run fault seed derivation
 
-	// sharding, when non-zero, routes RunScript through the tiled kernel in
-	// shard.go instead of the single-queue scheduler below.
+	// sharding, when non-zero, selects the tiled scheduling policy
+	// (shard.go) instead of the single queue.
 	sharding ShardConfig
+	// run is the last kernel run, kept so the next one reuses its lanes —
+	// packet free lists, queue storage — and scratch slices: one lane under
+	// the single-queue policy, one per network tile under the tiled one.
+	run kernelRun
 }
 
 // NewEngine builds an engine over net. maxHops is the per-packet hop budget
@@ -559,44 +526,26 @@ func (e *Engine) Net() *network.Network { return e.net }
 // built with a planar graph.
 func (e *Engine) SetViews(p view.Provider) { e.views = p }
 
-// viewAt returns node's view for the current session, lazily building the
-// default oracle provider. When the session's dead-link blacklist bans
-// neighbors at this node, the base view is wrapped in a masking decorator so
-// every decision — greedy, grouping, perimeter — excludes them. Sessions
-// without bans (every fault-free run) get the unwrapped base view, keeping
-// the zero-fault path a strict no-op.
-func (e *Engine) viewAt(node int) view.NodeView {
-	if e.views == nil {
-		e.views = view.NewOracle(e.net, nil)
-	}
-	base := e.views.At(node)
-	st := &e.sessions[e.cur]
-	b := st.banned[node]
-	if len(b) == 0 {
-		return base
-	}
-	mv, ok := st.masks[node]
-	if !ok {
-		mv = view.NewMasked(base, b)
-		if st.masks == nil {
-			st.masks = make(map[int]*view.Masked)
-		}
-		st.masks[node] = mv
-	}
-	return mv
-}
-
 // Radio returns the radio parameters.
 func (e *Engine) Radio() RadioParams { return e.radio }
 
 // MaxHops returns the per-packet hop budget (0 = unlimited).
 func (e *Engine) MaxHops() int { return e.maxHops }
 
-// Now returns the current virtual time of the running task.
-func (e *Engine) Now() float64 { return e.sched.Now() }
+// Now returns the kernel clock: the time of the last event executed, over
+// every lane — 0 before the first run, the end of the last run after it.
+func (e *Engine) Now() float64 {
+	var now float64
+	for _, ln := range e.run.lanes {
+		now = math.Max(now, ln.now)
+	}
+	return now
+}
 
 // SetTracer installs (or clears, with nil) a transmission observer. Tracing
-// does not affect simulation behavior.
+// does not affect simulation behavior. It requires the single-queue policy:
+// tiled runs panic with a tracer installed, because trace order across tiles
+// is not deterministic.
 func (e *Engine) SetTracer(fn TraceFunc) { e.tracer = fn }
 
 // SetEnergyLedger toggles per-node energy accounting (TaskMetrics.
@@ -629,427 +578,10 @@ func (e *Engine) RunTask(h Handler, src int, dests []int) TaskMetrics {
 }
 
 // RunScript simulates overlapping multicast sessions on the shared medium
-// and returns per-session metrics in input order. With SetSharding installed
-// the run executes on the tiled kernel (shard.go); otherwise on the
-// single-queue scheduler below.
+// and returns per-session metrics in input order, under the single-queue
+// policy or, with SetSharding installed, the tiled one. Session starts must
+// be finite and non-negative, and churn events must name script sessions;
+// anything else is a programming error and panics.
 func (e *Engine) RunScript(sessions []Session) []SessionMetrics {
-	if e.sharding != (ShardConfig{}) {
-		return e.runSharded(sessions)
-	}
-	e.sched = &Scheduler{}
-	e.busyUntil = make([]float64, e.net.Len())
-	e.sessions = make([]sessionState, len(sessions))
-
-	// Fault randomness is deterministic but advances across runs: the Nth
-	// run after SetFaults draws from seed(plan)⊕f(N), so successive tasks
-	// in a batch see independent loss patterns while the whole batch stays
-	// a pure function of (network, plan, run order). Re-install the plan to
-	// rewind the stream.
-	e.frand = nil
-	if e.faults.Active() {
-		e.frand = rand.New(rand.NewSource(e.faults.seed() + e.runSeq*6364136223846793005))
-	}
-	e.runSeq++
-	e.dead = nil
-	if len(e.faults.Crashes) > 0 {
-		e.dead = make([]bool, e.net.Len())
-		for _, c := range e.faults.Crashes {
-			c := c
-			e.sched.At(c.At, func() { e.dead[c.Node] = true })
-			if c.RecoverAt > c.At {
-				e.sched.At(c.RecoverAt, func() { e.dead[c.Node] = false })
-			}
-		}
-	}
-
-	if e.churn.hasEvents() {
-		for _, m := range append(append([]Membership(nil), e.churn.Joins...), e.churn.Leaves...) {
-			if m.Session >= len(sessions) {
-				panic(fmt.Sprintf("sim: churn event for session %d, script has %d", m.Session, len(sessions)))
-			}
-		}
-	}
-
-	for i, s := range sessions {
-		i, s := i, s
-		st := &e.sessions[i]
-		st.handler = s.Handler
-		if redundantCopies(s.Handler) {
-			st.pending = make(map[int]DropReason)
-		}
-		if e.churn.hasEvents() {
-			st.churn = e.churn.newSessionChurn(i, s.Src, s.Dests)
-		}
-		st.metrics = SessionMetrics{
-			TaskMetrics: TaskMetrics{
-				Delivered: make(map[int]int, len(s.Dests)),
-				DestCount: len(s.Dests),
-			},
-			StartTime:   s.Start,
-			DeliveredAt: make(map[int]float64, len(s.Dests)),
-		}
-		if e.perNode {
-			st.metrics.EnergyByNode = make(map[int]float64)
-		}
-		remaining := make([]int, 0, len(s.Dests))
-		for _, d := range s.Dests {
-			if d == s.Src {
-				st.metrics.Delivered[d] = 0
-				st.metrics.DeliveredAt[d] = s.Start
-				continue
-			}
-			remaining = append(remaining, d)
-		}
-		sort.Ints(remaining)
-		if len(remaining) > 0 {
-			locs := make([]geom.Point, len(remaining))
-			for j, d := range remaining {
-				locs[j] = e.net.Pos(d)
-			}
-			e.sched.At(s.Start, func() {
-				e.cur = i
-				pkt := &Packet{Dests: remaining, Locs: locs, Session: i, Anchor: -1}
-				if st.churn != nil {
-					e.applyChurn(pkt, s.Src)
-					if len(pkt.Dests) == 0 {
-						// Everyone aboard left at or before the start; the
-						// retirements are already billed.
-						return
-					}
-				}
-				fwds := st.handler.Start(e.viewAt(s.Src), pkt)
-				if len(fwds) == 0 {
-					e.kill(pkt, ReasonStranded)
-					return
-				}
-				if st.churn != nil {
-					e.billUncovered(pkt, fwds)
-				}
-				e.apply(s.Src, fwds)
-			})
-		}
-	}
-	e.sched.Run()
-
-	// Joins that never fired (the session finished first) or fired with no
-	// packet left to splice into are accounted as missed, so every scheduled
-	// join shows up in exactly one of JoinsSpliced/JoinsMissed.
-	for i := range e.sessions {
-		sc := e.sessions[i].churn
-		if sc == nil {
-			continue
-		}
-		for ; sc.next < len(sc.events); sc.next++ {
-			if sc.events[sc.next].join {
-				e.sessions[i].metrics.JoinsMissed++
-			}
-		}
-		e.sessions[i].metrics.JoinsMissed += len(sc.ready)
-		sc.ready = nil
-	}
-
-	// Settle deferred per-destination drop billing for redundant-copy
-	// sessions: a destination some copy dropped is charged its first drop
-	// reason unless another copy delivered it (or churn retired it, already
-	// billed as ReasonLeft).
-	for i := range e.sessions {
-		st := &e.sessions[i]
-		if st.pending == nil {
-			continue
-		}
-		for d, r := range st.pending {
-			if _, ok := st.metrics.Delivered[d]; ok {
-				continue
-			}
-			if st.churn != nil && st.churn.retired[d] {
-				continue
-			}
-			st.metrics.DestDropsByReason[r]++
-		}
-	}
-
-	out := make([]SessionMetrics, len(sessions))
-	for i := range e.sessions {
-		out[i] = e.sessions[i].metrics
-	}
-	return out
-}
-
-// apply executes a decision's forward list from node `from`, in order:
-// transmissions via send, DropCopy/DropWatchdog entries via kill. This is
-// the only path from a protocol decision to the air — handlers return data,
-// the engine acts on it. Kills are attributed to the packet's own session,
-// not whichever handler happens to be executing, so deferred drops in
-// concurrent scripts cannot be mis-billed.
-func (e *Engine) apply(from int, fwds []Forward) {
-	for _, f := range fwds {
-		switch f.To {
-		case DropCopy:
-			e.kill(f.Pkt, ReasonProtocol)
-		case DropWatchdog:
-			e.kill(f.Pkt, ReasonWatchdog)
-		default:
-			e.send(from, f.To, f.Pkt)
-		}
-	}
-}
-
-// kill records a packet copy's death: one copy-level event plus the
-// destinations still aboard, both indexed by reason and billed to the
-// packet's own session.
-func (e *Engine) kill(pkt *Packet, r DropReason) {
-	st := &e.sessions[pkt.Session]
-	st.metrics.DropsByReason[r]++
-	e.billDests(st, pkt.Dests, r)
-}
-
-// billDests charges the per-destination half of a drop. Ordinary sessions
-// are billed immediately; redundant-copy sessions defer into the pending map
-// (first reason wins — another live copy may still deliver the destination)
-// for end-of-run settlement.
-func (e *Engine) billDests(st *sessionState, dests []int, r DropReason) {
-	if st.pending != nil {
-		for _, d := range dests {
-			if _, seen := st.pending[d]; !seen {
-				st.pending[d] = r
-			}
-		}
-		return
-	}
-	st.metrics.DestDropsByReason[r] += len(dests)
-}
-
-// send transmits a copy of pkt from node `from` to its neighbor `to`. It
-// accounts the transmission and its energy against the packet's session,
-// enforces the hop budget, serializes with the sender's other transmissions
-// (half-duplex radio) and schedules the arrival. Destination bookkeeping
-// happens at arrival. Sends to out-of-range nodes are dropped and counted
-// in InvalidSends (they indicate a protocol bug; tests assert the counter
-// stays zero).
-func (e *Engine) send(from, to int, pkt *Packet) {
-	// Packets are attributed to the session whose handler is executing;
-	// handlers never need to stamp session IDs themselves.
-	st := &e.sessions[e.cur]
-	m := &st.metrics
-	if to < 0 || to >= e.net.Len() || from == to || !e.net.InRange(from, to) {
-		m.InvalidSends++
-		m.DropsByReason[ReasonInvalidSend]++
-		e.billDests(st, pkt.Dests, ReasonInvalidSend)
-		return
-	}
-	copyPkt := pkt.Clone()
-	copyPkt.Session = e.cur
-	copyPkt.Hops++
-	if e.maxHops > 0 && copyPkt.Hops > e.maxHops {
-		e.kill(copyPkt, ReasonHopBudget)
-		freePacket(copyPkt) // fresh engine clone, never left this function
-		return
-	}
-	e.transmit(from, to, copyPkt, 0)
-}
-
-// transmit puts one data frame on the air (attempt 0 is the original send,
-// higher attempts are ARQ retransmissions). It charges airtime and energy,
-// serializes on the sender's half-duplex radio, draws the frame's fault
-// fate, and schedules the reception.
-func (e *Engine) transmit(from, to int, pkt *Packet, attempt int) {
-	m := &e.sessions[pkt.Session].metrics
-	if e.isDead(from) {
-		// The sender's radio died before this (re)transmission went out.
-		e.kill(pkt, ReasonSenderCrashed)
-		freePacket(pkt) // engine clone, still unexposed to any handler
-		return
-	}
-	frame := e.frameBytes(pkt)
-	airtime := e.radio.TxTimeBytes(frame)
-
-	txStart := e.sched.Now()
-	if e.busyUntil[from] > txStart {
-		txStart = e.busyUntil[from]
-	}
-	e.busyUntil[from] = txStart + airtime
-
-	m.Transmissions++
-	if attempt > 0 {
-		m.Retransmissions++
-	}
-	m.EnergyJ += e.radio.TxEnergyBytes(frame, e.net.Degree(from))
-	if e.perNode {
-		m.EnergyByNode[from] += e.radio.TxPowerW * airtime
-		for _, l := range e.net.Neighbors(from) {
-			m.EnergyByNode[l] += e.radio.RxPowerW * airtime
-		}
-	}
-	if e.tracer != nil {
-		e.tracer(TraceEvent{
-			Time:      txStart,
-			From:      from,
-			To:        to,
-			Hops:      pkt.Hops,
-			Dests:     append([]int(nil), pkt.Dests...),
-			Perimeter: pkt.Perimeter,
-		})
-	}
-	// The frame's on-air fate is drawn at send time (deterministically, in
-	// scheduler order); whether the receiver is alive is checked at arrival
-	// time, so a crash mid-flight loses the frame.
-	lost := e.linkLost(from, to)
-	if !lost && e.churn.Motion != nil && !e.motionInRange(from, to, txStart) {
-		// The nodes' true positions have drifted out of radio range: the
-		// frame is lost on the air regardless of what the routing state
-		// believes. ARQ retries re-sample the stream — a node that swings
-		// back into range can still be reached.
-		lost = true
-	}
-	e.sched.At(txStart+airtime, func() { e.receive(from, to, pkt, attempt, lost) })
-}
-
-// receive resolves one frame's fate at its arrival time: deliver (plus ACK
-// under ARQ), schedule a retransmission, or give up — banning the link,
-// asking the handler for a re-route, and killing the copy only when no
-// re-route salvages it.
-func (e *Engine) receive(from, to int, pkt *Packet, attempt int, lost bool) {
-	m := &e.sessions[pkt.Session].metrics
-	if !lost && !e.isDead(to) {
-		if e.arq.Enabled {
-			e.sendAck(to, pkt)
-		}
-		e.arrive(to, pkt)
-		return
-	}
-	if !e.arq.Enabled {
-		// Without ARQ the sender never learns; the copy silently dies.
-		if lost {
-			e.kill(pkt, ReasonLinkLoss)
-		} else {
-			e.kill(pkt, ReasonCrashedReceiver)
-		}
-		freePacket(pkt) // engine clone, died in flight: no handler saw it
-		return
-	}
-	if attempt >= e.arq.MaxRetries {
-		m.LinkFailures++
-		e.sessions[pkt.Session].banLink(from, to)
-		nh, hasNack := e.sessions[pkt.Session].handler.(NackHandler)
-		if !hasNack {
-			e.kill(pkt, ReasonARQExhausted)
-			freePacket(pkt) // no NackHandler: the copy never reached a handler
-			return
-		}
-		if !e.nack(nh, from, to, pkt) {
-			// The handler declined the copy; it has still *seen* it (and may
-			// alias it), so the kill is billed but the storage is left to GC.
-			e.kill(pkt, ReasonARQExhausted)
-		}
-		return
-	}
-	rto := e.arq.Timeout * math.Pow(e.arq.Backoff, float64(attempt))
-	e.sched.After(rto, func() { e.transmit(from, to, pkt, attempt+1) })
-}
-
-// sendAck charges the receiver's ACK frame: airtime on its radio and energy
-// against the packet's session. ACKs are modeled loss-free (see ARQConfig).
-func (e *Engine) sendAck(node int, pkt *Packet) {
-	m := &e.sessions[pkt.Session].metrics
-	airtime := e.radio.TxTimeBytes(e.arq.AckBytes)
-	start := e.sched.Now()
-	if e.busyUntil[node] > start {
-		start = e.busyUntil[node]
-	}
-	e.busyUntil[node] = start + airtime
-	m.Acks++
-	m.EnergyJ += e.radio.TxEnergyBytes(e.arq.AckBytes, e.net.Degree(node))
-	if e.perNode {
-		m.EnergyByNode[node] += e.radio.TxPowerW * airtime
-		for _, l := range e.net.Neighbors(node) {
-			m.EnergyByNode[l] += e.radio.RxPowerW * airtime
-		}
-	}
-}
-
-// nack tells the packet's handler that ARQ gave up on the link from→to, if
-// the handler wants to know. The link is already banned, so the view handed
-// to the handler masks the dead neighbor. Reports whether the handler took
-// responsibility for the copy (returned at least one forward — a re-route or
-// an explicit drop); false means the engine must bill the copy itself.
-func (e *Engine) nack(nh NackHandler, from, to int, pkt *Packet) bool {
-	e.cur = pkt.Session
-	fwds := nh.Nack(e.viewAt(from), to, pkt)
-	if len(fwds) == 0 {
-		return false
-	}
-	if e.sessions[pkt.Session].churn != nil {
-		e.billUncovered(pkt, fwds)
-	}
-	e.apply(from, fwds)
-	return true
-}
-
-// isDead reports whether node's radio is crashed at the current time.
-func (e *Engine) isDead(node int) bool { return e.dead != nil && e.dead[node] }
-
-// linkLost draws whether a frame on the link from→to is lost on the air.
-// The zero fault plan never touches the RNG, keeping fault-free runs
-// byte-identical to an engine without a plan.
-func (e *Engine) linkLost(from, to int) bool {
-	if e.frand == nil {
-		return false
-	}
-	p := e.faults.lossProb(e.net.Dist(from, to), e.net.Range())
-	if p <= 0 {
-		return false
-	}
-	return e.frand.Float64() < p
-}
-
-// arrive records deliveries at the receiving node, strips it from the
-// destination list (and its header location), and asks the protocol for the
-// next decision if work remains. Crashed nodes receive nothing: no delivery,
-// no handler callback. A decision that returns no forwards while
-// destinations remain strands the copy, billed as ReasonStranded.
-func (e *Engine) arrive(node int, pkt *Packet) {
-	e.cur = pkt.Session
-	st := &e.sessions[pkt.Session]
-	if st.churn != nil {
-		e.applyChurn(pkt, node)
-		if len(pkt.Dests) == 0 {
-			// Every destination aboard left; the copy dissolves with the
-			// retirements already billed. Engine clone, never shown to a
-			// handler at this node.
-			freePacket(pkt)
-			return
-		}
-	}
-	kept := pkt.Dests[:0]
-	keptL := pkt.Locs[:0]
-	for i, d := range pkt.Dests {
-		if d == node {
-			if _, dup := st.metrics.Delivered[d]; !dup {
-				st.metrics.Delivered[d] = pkt.Hops
-				st.metrics.DeliveredAt[d] = e.sched.Now()
-			} else {
-				st.metrics.DuplicateDeliveries++
-			}
-			continue
-		}
-		kept = append(kept, d)
-		keptL = append(keptL, pkt.Locs[i])
-	}
-	pkt.Dests = kept
-	pkt.Locs = keptL
-	if len(pkt.Dests) == 0 {
-		// Fully delivered: this engine clone was never shown to a handler at
-		// this node (and each hop gets its own clone), so it can be recycled.
-		freePacket(pkt)
-		return
-	}
-	fwds := st.handler.Decide(e.viewAt(node), pkt)
-	if len(fwds) == 0 {
-		e.kill(pkt, ReasonStranded)
-		return
-	}
-	if st.churn != nil {
-		e.billUncovered(pkt, fwds)
-	}
-	e.apply(node, fwds)
+	return e.newRun(sessions).execute()
 }

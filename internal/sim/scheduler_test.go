@@ -2,119 +2,56 @@ package sim
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"testing"
 )
 
+// TestSchedulerOrdering: a lane executes its events in time order regardless
+// of scheduling order, and its clock ends at the last event's time.
 func TestSchedulerOrdering(t *testing.T) {
-	var s Scheduler
+	var ln lane
+	for _, node := range []int{3, 1, 2} {
+		ln.schedule(event{time: float64(node), kind: evCrash, from: node})
+	}
 	var order []int
-	s.At(3, func() { order = append(order, 3) })
-	s.At(1, func() { order = append(order, 1) })
-	s.At(2, func() { order = append(order, 2) })
-	s.Run()
+	for h := append(eventHeap(nil), ln.q...); len(h) > 0; {
+		order = append(order, h.pop().from)
+	}
 	want := []int{1, 2, 3}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v", order)
 		}
 	}
-	if s.Now() != 3 {
-		t.Fatalf("Now = %v", s.Now())
-	}
-	if s.Processed() != 3 {
-		t.Fatalf("Processed = %d", s.Processed())
+	r := &kernelRun{dead: make([]bool, 4)}
+	r.advance(&ln, math.Inf(1))
+	if ln.now != 3 || len(ln.q) != 0 || !r.dead[1] || !r.dead[2] || !r.dead[3] {
+		t.Fatalf("after advance: now %v, %d queued, dead %v", ln.now, len(ln.q), r.dead)
 	}
 }
 
+// TestSchedulerFIFOTieBreak: events at the same time fire in the order they
+// were scheduled (the lane's sequence counter breaks the tie).
 func TestSchedulerFIFOTieBreak(t *testing.T) {
-	var s Scheduler
-	var order []int
+	var ln lane
 	for i := 0; i < 10; i++ {
-		i := i
-		s.At(5, func() { order = append(order, i) })
+		ln.schedule(event{time: 5, from: i})
 	}
-	s.Run()
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("same-time events not FIFO: %v", order)
+	for i := 0; len(ln.q) > 0; i++ {
+		if got := ln.q.pop().from; got != i {
+			t.Fatalf("same-time event %d popped at position %d", got, i)
 		}
 	}
 }
 
-func TestSchedulerAfterAndNesting(t *testing.T) {
-	var s Scheduler
-	var times []float64
-	s.After(1, func() {
-		times = append(times, s.Now())
-		s.After(2, func() { times = append(times, s.Now()) })
-	})
-	s.Run()
-	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
-		t.Fatalf("times = %v", times)
-	}
-}
-
-func TestSchedulerPastClamped(t *testing.T) {
-	var s Scheduler
-	fired := false
-	s.At(5, func() {
-		// Scheduling in the past must clamp to now, not rewind the clock.
-		s.At(1, func() {
-			fired = true
-			if s.Now() != 5 {
-				t.Errorf("clock rewound to %v", s.Now())
-			}
-		})
-	})
-	s.Run()
-	if !fired {
-		t.Fatal("clamped event did not fire")
-	}
-}
-
-func TestSchedulerRunUntil(t *testing.T) {
-	var s Scheduler
-	var fired []float64
-	for _, tm := range []float64{1, 2, 3, 4} {
-		tm := tm
-		s.At(tm, func() { fired = append(fired, tm) })
-	}
-	s.RunUntil(2.5)
-	if len(fired) != 2 {
-		t.Fatalf("fired = %v", fired)
-	}
-	if s.Now() != 2.5 {
-		t.Fatalf("Now = %v, want 2.5", s.Now())
-	}
-	if s.Pending() != 2 {
-		t.Fatalf("Pending = %d", s.Pending())
-	}
-	s.Run()
-	if len(fired) != 4 {
-		t.Fatalf("after Run fired = %v", fired)
-	}
-}
-
-func TestSchedulerStepEmpty(t *testing.T) {
-	var s Scheduler
-	if s.Step() {
-		t.Fatal("Step on empty queue should report false")
-	}
-}
-
 // containerHeapQueue is the container/heap implementation the hand-rolled
-// eventQueue replaced, kept as the reference for the randomized equivalence
-// test below.
+// heap replaced, kept as the reference for the randomized equivalence test
+// below.
 type containerHeapQueue []event
 
-func (q containerHeapQueue) Len() int { return len(q) }
-func (q containerHeapQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	return q[i].seq < q[j].seq
-}
+func (q containerHeapQueue) Len() int            { return len(q) }
+func (q containerHeapQueue) Less(i, j int) bool  { return eventBefore(&q[i], &q[j]) }
 func (q containerHeapQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
 func (q *containerHeapQueue) Push(x interface{}) { *q = append(*q, x.(event)) }
 func (q *containerHeapQueue) Pop() interface{} {
@@ -126,41 +63,40 @@ func (q *containerHeapQueue) Pop() interface{} {
 }
 
 // TestEventQueueMatchesContainerHeap proves the hand-rolled heap pops in
-// exactly the order the container/heap version did: (time, seq) is a strict
-// total order, so the sequences must match element for element under any
+// exactly the order container/heap does: (time, tile, seq) is a strict total
+// order, so the sequences must match element for element under any
 // interleaving of pushes and pops.
 func TestEventQueueMatchesContainerHeap(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 50; trial++ {
-		var got eventQueue
+		var got eventHeap
 		var want containerHeapQueue
 		var seq int64
+		same := func(g, w event) bool { return g.time == w.time && g.tile == w.tile && g.seq == w.seq }
 		for op := 0; op < 400; op++ {
 			if len(want) > 0 && r.Intn(3) == 0 {
-				g := got.pop()
-				w := heap.Pop(&want).(event)
-				if g.time != w.time || g.seq != w.seq {
-					t.Fatalf("trial %d op %d: popped (%v,%d), container/heap popped (%v,%d)",
-						trial, op, g.time, g.seq, w.time, w.seq)
+				g, w := got.pop(), heap.Pop(&want).(event)
+				if !same(g, w) {
+					t.Fatalf("trial %d op %d: popped (%v,%d,%d), container/heap popped (%v,%d,%d)",
+						trial, op, g.time, g.tile, g.seq, w.time, w.tile, w.seq)
 				}
 				continue
 			}
-			// Coarse times force frequent exact ties so the seq tie-break is
-			// exercised, not just the time ordering.
-			e := event{time: float64(r.Intn(20)), seq: seq}
+			// Coarse times and few tiles force frequent exact ties so the
+			// tile and seq tie-breaks are exercised, not just the time order.
+			e := event{time: float64(r.Intn(20)), tile: int32(r.Intn(3)), seq: seq}
 			seq++
 			got.push(e)
 			heap.Push(&want, e)
 		}
 		for len(want) > 0 {
-			g := got.pop()
-			w := heap.Pop(&want).(event)
-			if g.time != w.time || g.seq != w.seq {
-				t.Fatalf("trial %d drain: popped (%v,%d), want (%v,%d)", trial, g.time, g.seq, w.time, w.seq)
+			g, w := got.pop(), heap.Pop(&want).(event)
+			if !same(g, w) {
+				t.Fatalf("trial %d drain: popped (%v,%d,%d), want (%v,%d,%d)", trial, g.time, g.tile, g.seq, w.time, w.tile, w.seq)
 			}
 		}
 		if len(got) != 0 {
-			t.Fatalf("trial %d: %d events left in hand-rolled queue", trial, len(got))
+			t.Fatalf("trial %d: %d events left in hand-rolled heap", trial, len(got))
 		}
 	}
 }

@@ -104,3 +104,50 @@ func TestRunScriptSelfDelivery(t *testing.T) {
 		t.Fatalf("self delivery time = %v, want session start", res[0].DeliveredAt[1])
 	}
 }
+
+// TestRunScriptRejectsBadStart: a session start that is not a finite
+// non-negative time is a programming error under both scheduling policies
+// — it would otherwise run at a NaN or infinite clock, or never start and
+// leave its destinations outside the conservation accounting.
+func TestRunScriptRejectsBadStart(t *testing.T) {
+	nw := chainNet(t, 12)
+	for _, start := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e-3} {
+		for _, shards := range []int{0, 1, 4} {
+			e := NewEngine(nw, DefaultRadioParams(), 0)
+			if shards > 0 {
+				shardedOver(t, e, shards)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("start %v, shards %d: RunScript did not panic", start, shards)
+					}
+				}()
+				e.RunScript([]Session{{Start: start, Handler: chainHandler{}, Src: 0, Dests: []int{3, 7, 11}}})
+			}()
+		}
+	}
+}
+
+// TestEngineNowReadsKernelClock: Now is 0 on a fresh engine and the time of
+// the last executed event after a run, under both scheduling policies.
+func TestEngineNowReadsKernelClock(t *testing.T) {
+	nw := chainNet(t, 12)
+	want := 0.002 + 11*DefaultRadioParams().TxTime() // start + 11 chained hops
+	for _, shards := range []int{0, 1, 4} {
+		e := NewEngine(nw, DefaultRadioParams(), 0)
+		if shards > 0 {
+			shardedOver(t, e, shards)
+		}
+		if got := e.Now(); got != 0 {
+			t.Fatalf("shards %d: fresh engine Now = %v, want 0", shards, got)
+		}
+		m := e.RunScript([]Session{{Start: 0.002, Handler: chainHandler{}, Src: 0, Dests: []int{3, 7, 11}}})[0]
+		if m.Failed() {
+			t.Fatalf("shards %d: chain delivery failed: %+v", shards, m)
+		}
+		if got := e.Now(); math.Abs(got-want) > 1e-12 || got != m.DeliveredAt[11] {
+			t.Fatalf("shards %d: Now = %v, want %v (last delivery %v)", shards, got, want, m.DeliveredAt[11])
+		}
+	}
+}

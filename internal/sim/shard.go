@@ -3,18 +3,13 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
-
-	"gmp/internal/geom"
-	"gmp/internal/view"
 )
 
-// This file is the sharded simulation kernel: the same physics as engine.go,
-// executed as per-tile event queues advanced in conservative time windows so
-// one large network saturates many cores. DESIGN.md §2.4 derives the window
+// This file is the kernel's tiled scheduling policy: the copy rules of
+// kernel.go, executed as per-tile lanes advanced in conservative time
+// windows so one large network saturates many cores. DESIGN.md §2.4 derives the window
 // and the determinism argument; the short version:
 //
 //   - The network's coarse tile layer (network.Tiles) partitions nodes by
@@ -42,18 +37,18 @@ import (
 //     coordinator-owned and touched only at barriers (churn). Partials merge
 //     in tile index order, so even float accumulation order is fixed.
 //
-// Membership churn, which in the single-queue engine is applied at each hop
-// arrival, becomes barrier-time surgery here: when a join or leave fires,
+// Membership churn, which under the single-queue policy is applied at each
+// hop arrival, becomes barrier-time surgery here: when a join or leave fires,
 // the coordinator edits the headers of the in-flight packets sitting in the
 // tiles' queues and inboxes — a join is spliced into the earliest queued
 // copy of its session (by event key, wherever in the region that copy is
 // held), and a leave strips the destination from every queued copy, billed
 // once as ReasonLeft. The conservation invariant delivered+dropped ==
 // DestCount is preserved exactly; only the instant a change takes effect
-// moves, by less than one window, relative to the single-queue engine.
+// moves, by less than one window, relative to the single-queue policy.
 
-// ShardConfig configures the sharded kernel on an Engine. The zero value
-// selects the default single-queue engine; any non-zero configuration is
+// ShardConfig selects the kernel's scheduling policy on an Engine. The zero
+// value selects the default single-queue policy; any non-zero configuration is
 // validated strictly — there are no silent fallbacks for out-of-range
 // values.
 type ShardConfig struct {
@@ -85,8 +80,8 @@ func Lookahead(radio RadioParams, arq ARQConfig) float64 {
 	return la
 }
 
-// SetSharding installs (or, with the zero config, removes) the sharded
-// kernel for subsequent runs. Non-positive shard counts and non-positive or
+// SetSharding installs (or, with the zero config, removes) the tiled policy
+// for subsequent runs. Non-positive shard counts and non-positive or
 // non-finite windows are rejected; a window exceeding the run's lookahead is
 // a programming error detected at run time.
 func (e *Engine) SetSharding(c ShardConfig) error {
@@ -105,221 +100,13 @@ func (e *Engine) SetSharding(c ShardConfig) error {
 }
 
 // Sharding returns the installed shard configuration (zero = single-queue
-// engine).
+// policy).
 func (e *Engine) Sharding() ShardConfig { return e.sharding }
 
-// shardEventKind discriminates the typed events of the sharded kernel. The
-// single-queue engine schedules closures; the sharded kernel needs events it
-// can inspect, both to route them to tiles and to let the churn barrier find
-// and edit in-flight packets.
-type shardEventKind uint8
-
-const (
-	// evStart begins a session at its source node.
-	evStart shardEventKind = iota
-	// evReceive resolves one frame's fate at its arrival time.
-	evReceive
-	// evRetransmit fires an ARQ retry at the sender.
-	evRetransmit
-	// evGiveUp fires the sender's final ARQ timeout: ban the link, offer the
-	// copy to the NackHandler, kill it if no re-route salvages it.
-	evGiveUp
-	// evCrash and evRecover flip a node's radio state.
-	evCrash
-	evRecover
-)
-
-// shardEvent is one scheduled event. (time, tile, seq) is the kernel's
-// strict total order: tile and seq identify the originating tile and its
-// sequence counter at creation, both deterministic.
-type shardEvent struct {
-	time float64
-	tile int32
-	seq  int64
-	kind shardEventKind
-
-	from, to int
-	attempt  int
-	lost     bool
-	sess     int
-	pkt      *Packet
-}
-
-// shardHeap is a min-heap of shardEvents ordered by (time, tile, seq),
-// hand-rolled like eventQueue.
-type shardHeap []shardEvent
-
-func (q shardHeap) before(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	if q[i].tile != q[j].tile {
-		return q[i].tile < q[j].tile
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *shardHeap) push(e shardEvent) {
-	*q = append(*q, e)
-	q.up(len(*q) - 1)
-}
-
-func (q *shardHeap) pop() shardEvent {
-	h := *q
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	e := h[n]
-	h[n] = shardEvent{}
-	*q = h[:n]
-	if n > 0 {
-		h[:n].down(0)
-	}
-	return e
-}
-
-func (q shardHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.before(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (q shardHeap) down(i int) {
-	n := len(q)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		best := l
-		if r := l + 1; r < n && q.before(r, l) {
-			best = r
-		}
-		if !q.before(best, i) {
-			return
-		}
-		q[i], q[best] = q[best], q[i]
-		i = best
-	}
-}
-
-// laneSession is one tile's share of a session's mutable state: metric
-// partials, and the dead-link blacklist entries of the nodes this tile owns.
-type laneSession struct {
-	m      SessionMetrics
-	banned map[int]map[int]bool
-	masks  map[int]*view.Masked
-	// pending defers per-destination drop billing for redundant-copy
-	// sessions (RedundantHandler): destination → first drop observed in this
-	// lane, with its lane time so merge can pick the globally-first one
-	// deterministically. Lazily allocated; nil for ordinary sessions.
-	pending map[int]pendingDrop
-}
-
-// pendingDrop is one deferred per-destination drop charge.
-type pendingDrop struct {
-	reason DropReason
-	at     float64
-}
-
-// lane is the per-tile execution context. During a round a lane is advanced
-// by exactly one worker goroutine; between rounds only the coordinator
-// touches it. Everything a hop needs is either lane-local or read-only.
-type lane struct {
-	id  int
-	now float64
-	seq int64
-	q   shardHeap
-
-	mu    sync.Mutex
-	inbox []shardEvent
-
-	rng       *rand.Rand
-	free      []*Packet
-	sess      []laneSession
-	cur       int
-	processed int64
-}
-
-// post delivers an event to this lane's inbox. Called by other lanes during
-// a round; the inbox is merged into the queue at the next barrier, where the
-// heap's key order erases any trace of arrival order.
-func (ln *lane) post(ev shardEvent) {
-	ln.mu.Lock()
-	ln.inbox = append(ln.inbox, ev)
-	ln.mu.Unlock()
-}
-
-// getPkt returns a packet from the lane-local pool. Shards share nothing:
-// each lane recycles its own packets, so the hot path stays allocation-free
-// without a contended global pool.
-func (ln *lane) getPkt() *Packet {
-	if n := len(ln.free); n > 0 {
-		p := ln.free[n-1]
-		ln.free = ln.free[:n-1]
-		return p
-	}
-	return new(Packet)
-}
-
-// freePkt recycles p into the lane pool. The caller must own the only live
-// reference, exactly as freePacket requires in the single-queue engine.
-func (ln *lane) freePkt(p *Packet) {
-	*p = Packet{Dests: p.Dests[:0], Locs: p.Locs[:0]}
-	ln.free = append(ln.free, p)
-}
-
-// clonePkt is Packet.Clone backed by the lane pool.
-func (ln *lane) clonePkt(p *Packet) *Packet {
-	q := ln.getPkt()
-	dests := append(q.Dests[:0], p.Dests...)
-	locs := append(q.Locs[:0], p.Locs...)
-	*q = *p
-	q.Dests = dests
-	q.Locs = locs
-	return q
-}
-
-// shardChurn is one session's churn bookkeeping, coordinator-owned and
-// touched only at barriers.
-type shardChurn struct {
-	src     int
-	events  []churnEvent
-	next    int
-	pending []int // fired joins awaiting an in-flight packet to splice into
-	member  map[int]bool
-	left    map[int]bool
-	retired map[int]bool
-}
-
-// shardRun is one sharded RunScript execution.
-type shardRun struct {
-	e         *Engine
-	lanes     []*lane
-	window    float64
-	busyUntil []float64
-	dead      []bool
-	handlers  []Handler
-	redundant []bool
-	churn     []*shardChurn
-	// base holds the coordinator-owned part of each session's metrics:
-	// prologue deliveries at the source, churn counters, and barrier-time
-	// accounting. Lane partials are merged into it, in lane order, at the
-	// end of the run.
-	base []SessionMetrics
-}
-
-// runSharded is RunScript on the sharded kernel. It reproduces engine.go's
-// semantics event for event, with the three documented divergences: fault
-// draws come from per-tile streams, ARQ give-up runs at the sender one
-// final timeout after the last failed attempt (instead of at its arrival
-// instant), and churn applies at window barriers. All three are
-// deterministic for any shard count.
-func (e *Engine) runSharded(sessions []Session) []SessionMetrics {
+// checkWindow validates a tiled run against the engine's configuration: no
+// tracer, and a window within the run's lookahead.
+func (r *kernelRun) checkWindow() {
+	e := r.e
 	if e.tracer != nil {
 		panic("sim: tracing is not supported by the sharded kernel (trace ordering across tiles is not deterministic)")
 	}
@@ -330,129 +117,10 @@ func (e *Engine) runSharded(sessions []Session) []SessionMetrics {
 	if e.sharding.Window > la {
 		panic(fmt.Sprintf("sim: ShardConfig.Window %v exceeds the run's lookahead %v", e.sharding.Window, la))
 	}
-	if e.views == nil {
-		e.views = view.NewOracle(e.net, nil)
-	}
-
-	r := &shardRun{
-		e:         e,
-		window:    e.sharding.Window,
-		busyUntil: make([]float64, e.net.Len()),
-		handlers:  make([]Handler, len(sessions)),
-		redundant: make([]bool, len(sessions)),
-		base:      make([]SessionMetrics, len(sessions)),
-	}
-	r.lanes = make([]*lane, e.net.Tiles())
-	for i := range r.lanes {
-		ln := &lane{id: i, sess: make([]laneSession, len(sessions))}
-		if e.faults.Active() {
-			ln.rng = rand.New(rand.NewSource(e.faults.seed() + e.runSeq*6364136223846793005 + int64(i+1)*shardTileSeedStride))
-		}
-		r.lanes[i] = ln
-	}
-	e.runSeq++
-
-	if len(e.faults.Crashes) > 0 {
-		r.dead = make([]bool, e.net.Len())
-		for _, c := range e.faults.Crashes {
-			ln := r.laneOf(c.Node)
-			ln.schedule(shardEvent{time: c.At, kind: evCrash, from: c.Node})
-			if c.RecoverAt > c.At {
-				ln.schedule(shardEvent{time: c.RecoverAt, kind: evRecover, from: c.Node})
-			}
-		}
-	}
-
-	if e.churn.hasEvents() {
-		for _, m := range append(append([]Membership(nil), e.churn.Joins...), e.churn.Leaves...) {
-			if m.Session >= len(sessions) {
-				panic(fmt.Sprintf("sim: churn event for session %d, script has %d", m.Session, len(sessions)))
-			}
-		}
-		r.churn = make([]*shardChurn, len(sessions))
-	}
-
-	for i, s := range sessions {
-		r.handlers[i] = s.Handler
-		r.redundant[i] = redundantCopies(s.Handler)
-		if r.churn != nil {
-			if sc := e.churn.newSessionChurn(i, s.Src, s.Dests); sc != nil {
-				r.churn[i] = &shardChurn{
-					src: sc.src, events: sc.events,
-					member: sc.member, left: sc.left,
-				}
-			}
-		}
-		r.base[i] = SessionMetrics{
-			TaskMetrics: TaskMetrics{
-				Delivered: make(map[int]int, len(s.Dests)),
-				DestCount: len(s.Dests),
-			},
-			StartTime:   s.Start,
-			DeliveredAt: make(map[int]float64, len(s.Dests)),
-		}
-		if e.perNode {
-			r.base[i].EnergyByNode = make(map[int]float64)
-		}
-		remaining := make([]int, 0, len(s.Dests))
-		for _, d := range s.Dests {
-			if d == s.Src {
-				r.base[i].Delivered[d] = 0
-				r.base[i].DeliveredAt[d] = s.Start
-				continue
-			}
-			remaining = append(remaining, d)
-		}
-		sort.Ints(remaining)
-		if len(remaining) > 0 {
-			locs := make([]geom.Point, len(remaining))
-			for j, d := range remaining {
-				locs[j] = e.net.Pos(d)
-			}
-			pkt := &Packet{Dests: remaining, Locs: locs, Session: i, Anchor: -1}
-			r.laneOf(s.Src).schedule(shardEvent{time: s.Start, kind: evStart, from: s.Src, sess: i, pkt: pkt})
-		}
-	}
-
-	r.run()
-	r.churnEpilogue()
-	return r.merge()
 }
 
-// shardTileSeedStride separates per-tile fault streams; like the experiment
-// package's seed strides it is an arbitrary frozen prime.
-const shardTileSeedStride = 15485863
-
-// laneOf returns the lane owning node id.
-func (r *shardRun) laneOf(node int) *lane { return r.lanes[r.e.net.Tile(node)] }
-
-// schedule enqueues an event on ln's own queue, stamping the lane's
-// (tile, seq) origin key. Only the lane's current worker (or the
-// coordinator, between rounds) may call it.
-func (ln *lane) schedule(ev shardEvent) {
-	ev.tile = int32(ln.id)
-	ev.seq = ln.seq
-	ln.seq++
-	ln.q.push(ev)
-}
-
-// send routes an event to the lane owning node `to`: pushed directly when
-// that is the current lane, posted to the inbox otherwise. The origin key
-// is the sending lane's in both cases.
-func (r *shardRun) send(from *lane, to int, ev shardEvent) {
-	target := r.laneOf(to)
-	if target == from {
-		from.schedule(ev)
-		return
-	}
-	ev.tile = int32(from.id)
-	ev.seq = from.seq
-	from.seq++
-	target.post(ev)
-}
-
-// run is the conservative-window main loop.
-func (r *shardRun) run() {
+// runWindows is the tiled policy's conservative-window main loop.
+func (r *kernelRun) runWindows() {
 	workers := r.e.sharding.Shards
 	if workers > len(r.lanes) {
 		workers = len(r.lanes)
@@ -504,431 +172,4 @@ func (r *shardRun) run() {
 		}
 		wg.Wait()
 	}
-}
-
-// advance executes ln's events strictly before horizon, in key order.
-func (r *shardRun) advance(ln *lane, horizon float64) {
-	for len(ln.q) > 0 && ln.q[0].time < horizon {
-		ev := ln.q.pop()
-		if ev.time > ln.now {
-			ln.now = ev.time
-		}
-		ln.processed++
-		r.dispatch(ln, ev)
-	}
-}
-
-// dispatch executes one event in lane context.
-func (r *shardRun) dispatch(ln *lane, ev shardEvent) {
-	switch ev.kind {
-	case evCrash:
-		r.dead[ev.from] = true
-	case evRecover:
-		r.dead[ev.from] = false
-	case evStart:
-		ln.cur = ev.sess
-		pkt := ev.pkt
-		if len(pkt.Dests) == 0 {
-			// Every destination left before the task began; the barrier
-			// already billed the retirements.
-			return
-		}
-		fwds := r.handlers[ev.sess].Start(r.viewFor(ln, ev.from), pkt)
-		if len(fwds) == 0 {
-			r.kill(ln, pkt, ReasonStranded)
-			return
-		}
-		r.billUncovered(ln, pkt, fwds)
-		r.apply(ln, ev.from, fwds)
-	case evReceive:
-		r.receive(ln, ev)
-	case evRetransmit:
-		if len(ev.pkt.Dests) == 0 {
-			// A barrier leave emptied the copy while the retry was queued.
-			ln.freePkt(ev.pkt)
-			return
-		}
-		r.transmit(ln, ev.from, ev.to, ev.pkt, ev.attempt)
-	case evGiveUp:
-		r.giveUp(ln, ev)
-	}
-}
-
-// viewAt mirrors Engine.viewAt with lane-local blacklists: node's bans live
-// in its own lane, so the masking decorator cache is shard-private.
-func (r *shardRun) viewAt(ln *lane, sess, node int) view.NodeView {
-	base := r.e.views.At(node)
-	st := &ln.sess[sess]
-	b := st.banned[node]
-	if len(b) == 0 {
-		return base
-	}
-	mv, ok := st.masks[node]
-	if !ok {
-		mv = view.NewMasked(base, b)
-		if st.masks == nil {
-			st.masks = make(map[int]*view.Masked)
-		}
-		st.masks[node] = mv
-	}
-	return mv
-}
-
-func (r *shardRun) viewFor(ln *lane, node int) view.NodeView { return r.viewAt(ln, ln.cur, node) }
-
-// kill mirrors Engine.kill into the lane's session partial.
-func (r *shardRun) kill(ln *lane, pkt *Packet, reason DropReason) {
-	ls := &ln.sess[pkt.Session]
-	ls.m.DropsByReason[reason]++
-	r.billDests(ln, ls, pkt.Session, pkt.Dests, reason)
-}
-
-// billDests mirrors Engine.billDests: immediate per-destination billing for
-// ordinary sessions, lane-local deferral (stamped with the lane clock, so
-// merge can settle the globally-first drop) for redundant-copy sessions.
-func (r *shardRun) billDests(ln *lane, ls *laneSession, si int, dests []int, reason DropReason) {
-	if !r.redundant[si] {
-		ls.m.DestDropsByReason[reason] += len(dests)
-		return
-	}
-	if ls.pending == nil {
-		ls.pending = make(map[int]pendingDrop)
-	}
-	for _, d := range dests {
-		if _, seen := ls.pending[d]; !seen {
-			ls.pending[d] = pendingDrop{reason: reason, at: ln.now}
-		}
-	}
-}
-
-// billUncovered mirrors Engine.billUncovered: only sessions with churn
-// events run the scan, so churn-free sessions keep the fast path.
-func (r *shardRun) billUncovered(ln *lane, pkt *Packet, fwds []Forward) {
-	if r.churn == nil || r.churn[pkt.Session] == nil {
-		return
-	}
-	var n int
-	for _, d := range pkt.Dests {
-		covered := false
-	scan:
-		for _, f := range fwds {
-			for _, fd := range f.Pkt.Dests {
-				if fd == d {
-					covered = true
-					break scan
-				}
-			}
-		}
-		if !covered {
-			n++
-			if r.redundant[pkt.Session] {
-				ls := &ln.sess[pkt.Session]
-				if ls.pending == nil {
-					ls.pending = make(map[int]pendingDrop)
-				}
-				if _, seen := ls.pending[d]; !seen {
-					ls.pending[d] = pendingDrop{reason: ReasonStranded, at: ln.now}
-				}
-			}
-		}
-	}
-	if n > 0 {
-		m := &ln.sess[pkt.Session].m
-		m.DropsByReason[ReasonStranded]++
-		if !r.redundant[pkt.Session] {
-			m.DestDropsByReason[ReasonStranded] += n
-		}
-	}
-}
-
-// apply mirrors Engine.apply.
-func (r *shardRun) apply(ln *lane, from int, fwds []Forward) {
-	for _, f := range fwds {
-		switch f.To {
-		case DropCopy:
-			r.kill(ln, f.Pkt, ReasonProtocol)
-		case DropWatchdog:
-			r.kill(ln, f.Pkt, ReasonWatchdog)
-		default:
-			r.sendPkt(ln, from, f.To, f.Pkt)
-		}
-	}
-}
-
-// sendPkt mirrors Engine.send: clone, budget, transmit.
-func (r *shardRun) sendPkt(ln *lane, from, to int, pkt *Packet) {
-	ls := &ln.sess[ln.cur]
-	m := &ls.m
-	if to < 0 || to >= r.e.net.Len() || from == to || !r.e.net.InRange(from, to) {
-		m.InvalidSends++
-		m.DropsByReason[ReasonInvalidSend]++
-		r.billDests(ln, ls, ln.cur, pkt.Dests, ReasonInvalidSend)
-		return
-	}
-	copyPkt := ln.clonePkt(pkt)
-	copyPkt.Session = ln.cur
-	copyPkt.Hops++
-	if r.e.maxHops > 0 && copyPkt.Hops > r.e.maxHops {
-		r.kill(ln, copyPkt, ReasonHopBudget)
-		ln.freePkt(copyPkt)
-		return
-	}
-	r.transmit(ln, from, to, copyPkt, 0)
-}
-
-// transmit mirrors Engine.transmit; it always runs in the sender's lane, so
-// the half-duplex serialization state and the fault stream are tile-local.
-func (r *shardRun) transmit(ln *lane, from, to int, pkt *Packet, attempt int) {
-	e := r.e
-	m := &ln.sess[pkt.Session].m
-	if r.dead != nil && r.dead[from] {
-		r.kill(ln, pkt, ReasonSenderCrashed)
-		ln.freePkt(pkt)
-		return
-	}
-	frame := e.frameBytes(pkt)
-	airtime := e.radio.TxTimeBytes(frame)
-
-	txStart := ln.now
-	if r.busyUntil[from] > txStart {
-		txStart = r.busyUntil[from]
-	}
-	r.busyUntil[from] = txStart + airtime
-
-	m.Transmissions++
-	if attempt > 0 {
-		m.Retransmissions++
-	}
-	m.EnergyJ += e.radio.TxEnergyBytes(frame, e.net.Degree(from))
-	if e.perNode {
-		if m.EnergyByNode == nil {
-			m.EnergyByNode = make(map[int]float64)
-		}
-		m.EnergyByNode[from] += e.radio.TxPowerW * airtime
-		for _, l := range e.net.Neighbors(from) {
-			m.EnergyByNode[l] += e.radio.RxPowerW * airtime
-		}
-	}
-	lost := false
-	if ln.rng != nil {
-		if p := e.faults.lossProb(e.net.Dist(from, to), e.net.Range()); p > 0 {
-			lost = ln.rng.Float64() < p
-		}
-	}
-	if !lost && e.churn.Motion != nil && !e.motionInRange(from, to, txStart) {
-		lost = true
-	}
-	r.send(ln, to, shardEvent{
-		time: txStart + airtime, kind: evReceive,
-		from: from, to: to, attempt: attempt, lost: lost, pkt: pkt,
-	})
-}
-
-// receive mirrors Engine.receive in the receiver's lane. The one divergence:
-// on the final failed attempt the give-up (ban + NACK re-route) is an event
-// in the *sender's* lane one backed-off timeout later — physically, the
-// sender's last timer expiring — because bans and re-route decisions are
-// sender-tile state the receiver's tile must not touch directly.
-func (r *shardRun) receive(ln *lane, ev shardEvent) {
-	e := r.e
-	pkt := ev.pkt
-	if !ev.lost && (r.dead == nil || !r.dead[ev.to]) {
-		if e.arq.Enabled {
-			r.sendAck(ln, ev.to, pkt)
-		}
-		r.arrive(ln, ev.to, pkt)
-		return
-	}
-	if !e.arq.Enabled {
-		if ev.lost {
-			r.kill(ln, pkt, ReasonLinkLoss)
-		} else {
-			r.kill(ln, pkt, ReasonCrashedReceiver)
-		}
-		ln.freePkt(pkt)
-		return
-	}
-	rto := e.arq.Timeout * math.Pow(e.arq.Backoff, float64(ev.attempt))
-	if ev.attempt >= e.arq.MaxRetries {
-		r.send(ln, ev.from, shardEvent{
-			time: ln.now + rto, kind: evGiveUp,
-			from: ev.from, to: ev.to, pkt: pkt,
-		})
-		return
-	}
-	r.send(ln, ev.from, shardEvent{
-		time: ln.now + rto, kind: evRetransmit,
-		from: ev.from, to: ev.to, attempt: ev.attempt + 1, pkt: pkt,
-	})
-}
-
-// giveUp executes the sender-side ARQ exhaustion: count the link failure,
-// ban the link, offer the copy to the NackHandler, and bill it if no
-// re-route salvages it.
-func (r *shardRun) giveUp(ln *lane, ev shardEvent) {
-	pkt := ev.pkt
-	if len(pkt.Dests) == 0 {
-		ln.freePkt(pkt)
-		return
-	}
-	st := &ln.sess[pkt.Session]
-	st.m.LinkFailures++
-	if st.banned == nil {
-		st.banned = make(map[int]map[int]bool)
-	}
-	b := st.banned[ev.from]
-	if b == nil {
-		b = make(map[int]bool)
-		st.banned[ev.from] = b
-	}
-	b[ev.to] = true
-	delete(st.masks, ev.from)
-
-	nh, hasNack := r.handlers[pkt.Session].(NackHandler)
-	if !hasNack {
-		r.kill(ln, pkt, ReasonARQExhausted)
-		ln.freePkt(pkt)
-		return
-	}
-	ln.cur = pkt.Session
-	fwds := nh.Nack(r.viewAt(ln, pkt.Session, ev.from), ev.to, pkt)
-	if len(fwds) == 0 {
-		// The handler declined but has seen (and may alias) the copy.
-		r.kill(ln, pkt, ReasonARQExhausted)
-		return
-	}
-	r.billUncovered(ln, pkt, fwds)
-	r.apply(ln, ev.from, fwds)
-}
-
-// sendAck mirrors Engine.sendAck; the receiver is in this lane.
-func (r *shardRun) sendAck(ln *lane, node int, pkt *Packet) {
-	e := r.e
-	m := &ln.sess[pkt.Session].m
-	airtime := e.radio.TxTimeBytes(e.arq.AckBytes)
-	start := ln.now
-	if r.busyUntil[node] > start {
-		start = r.busyUntil[node]
-	}
-	r.busyUntil[node] = start + airtime
-	m.Acks++
-	m.EnergyJ += e.radio.TxEnergyBytes(e.arq.AckBytes, e.net.Degree(node))
-	if e.perNode {
-		if m.EnergyByNode == nil {
-			m.EnergyByNode = make(map[int]float64)
-		}
-		m.EnergyByNode[node] += e.radio.TxPowerW * airtime
-		for _, l := range e.net.Neighbors(node) {
-			m.EnergyByNode[l] += e.radio.RxPowerW * airtime
-		}
-	}
-}
-
-// arrive mirrors Engine.arrive, minus the hop-time churn application (the
-// barrier already edited in-flight headers). Deliveries of a destination
-// always happen in the destination's own lane, so the duplicate check needs
-// only the lane partial.
-func (r *shardRun) arrive(ln *lane, node int, pkt *Packet) {
-	ln.cur = pkt.Session
-	st := &ln.sess[pkt.Session]
-	kept := pkt.Dests[:0]
-	keptL := pkt.Locs[:0]
-	for i, d := range pkt.Dests {
-		if d == node {
-			if st.m.Delivered == nil {
-				st.m.Delivered = make(map[int]int)
-				st.m.DeliveredAt = make(map[int]float64)
-			}
-			if _, dup := st.m.Delivered[d]; !dup {
-				st.m.Delivered[d] = pkt.Hops
-				st.m.DeliveredAt[d] = ln.now
-			} else {
-				st.m.DuplicateDeliveries++
-			}
-			continue
-		}
-		kept = append(kept, d)
-		keptL = append(keptL, pkt.Locs[i])
-	}
-	pkt.Dests = kept
-	pkt.Locs = keptL
-	if len(pkt.Dests) == 0 {
-		ln.freePkt(pkt)
-		return
-	}
-	fwds := r.handlers[pkt.Session].Decide(r.viewFor(ln, node), pkt)
-	if len(fwds) == 0 {
-		r.kill(ln, pkt, ReasonStranded)
-		return
-	}
-	r.billUncovered(ln, pkt, fwds)
-	r.apply(ln, node, fwds)
-}
-
-// merge folds every lane's session partials into the coordinator base, in
-// lane index order — the canonical reduction that makes even floating-point
-// accumulation independent of the shard count.
-func (r *shardRun) merge() []SessionMetrics {
-	for _, ln := range r.lanes {
-		for si := range ln.sess {
-			p := &ln.sess[si].m
-			o := &r.base[si]
-			o.Transmissions += p.Transmissions
-			o.EnergyJ += p.EnergyJ
-			o.DuplicateDeliveries += p.DuplicateDeliveries
-			o.Retransmissions += p.Retransmissions
-			o.LinkFailures += p.LinkFailures
-			o.Acks += p.Acks
-			o.InvalidSends += p.InvalidSends
-			for i := range p.DropsByReason {
-				o.DropsByReason[i] += p.DropsByReason[i]
-				o.DestDropsByReason[i] += p.DestDropsByReason[i]
-			}
-			for d, h := range p.Delivered {
-				o.Delivered[d] = h
-				o.DeliveredAt[d] = p.DeliveredAt[d]
-			}
-			if len(p.EnergyByNode) > 0 {
-				if o.EnergyByNode == nil {
-					o.EnergyByNode = make(map[int]float64, len(p.EnergyByNode))
-				}
-				for n, j := range p.EnergyByNode {
-					o.EnergyByNode[n] += j
-				}
-			}
-		}
-	}
-
-	// Settle deferred per-destination billing for redundant-copy sessions,
-	// against the now-complete delivered set. Each destination is charged its
-	// globally-first drop — earliest lane time, ties broken by lane order
-	// (the scan keeps the first lane's entry on equal times) — unless some
-	// copy delivered it or churn retired it (already billed as ReasonLeft).
-	for si := range r.base {
-		if !r.redundant[si] {
-			continue
-		}
-		var best map[int]pendingDrop
-		for _, ln := range r.lanes {
-			for d, pd := range ln.sess[si].pending {
-				if best == nil {
-					best = make(map[int]pendingDrop)
-				}
-				if cur, ok := best[d]; !ok || pd.at < cur.at {
-					best[d] = pd
-				}
-			}
-		}
-		o := &r.base[si]
-		for d, pd := range best {
-			if _, ok := o.Delivered[d]; ok {
-				continue
-			}
-			if r.churn != nil && r.churn[si] != nil && r.churn[si].retired[d] {
-				continue
-			}
-			o.DestDropsByReason[pd.reason]++
-		}
-	}
-	return r.base
 }

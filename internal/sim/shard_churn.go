@@ -1,8 +1,8 @@
 package sim
 
-// Barrier-time churn for the sharded kernel. The single-queue engine applies
-// membership changes lazily, at each hop arrival (applyChurn); a parallel
-// kernel cannot, because an arrival in one tile must not reach into the
+// Barrier-time churn for the tiled policy. The single-queue policy applies
+// membership changes lazily, at each hop arrival (hopChurn); a parallel
+// run cannot, because an arrival in one tile must not reach into the
 // coordinator's churn bookkeeping mid-round. Instead, churn fires at window
 // barriers, when no worker is running and a key invariant holds: every live
 // packet copy of a session is attached to exactly one queued event (a copy
@@ -12,7 +12,7 @@ package sim
 //
 //   - A fired leave strips the destination from every queued copy, billed as
 //     ReasonLeft once per destination (the `retired` set dedupes duplicate
-//     copies exactly as the single-queue engine does). Copies cloned later
+//     copies exactly as the single-queue policy does). Copies cloned later
 //     inherit stripped parents, so one sweep per leave-firing barrier is
 //     complete. Emptied copies dissolve, unbilled, when their event fires.
 //   - A fired join is spliced into the earliest queued copy of its session —
@@ -20,14 +20,13 @@ package sim
 //     that would "pass by" — wherever in the region that copy is held, which
 //     is exactly the remote-tile-inbox case the tests pin down. Joins with no
 //     live copy to board stay pending; if none ever appears they are counted
-//     JoinsMissed at the end of the run, like the single-queue engine's
-//     epilogue.
+//     JoinsMissed at the end of the run, like the single-queue policy.
 //   - Retiring a copy's anchor destination re-anchors at the node currently
 //     holding the copy (the receiver for a queued arrival, the sender for a
-//     queued retry/give-up, the source for an unstarted session), mirroring
-//     applyChurn's "re-anchor at the node in hand".
+//     queued retry/give-up, the source for an unstarted session), the same
+//     "re-anchor at the node in hand" rule hop-time churn applies.
 //
-// The observable divergence from the single-queue engine is bounded and
+// The observable divergence from the single-queue policy is bounded and
 // one-sided: a change scheduled at time t takes effect at the first barrier
 // whose floor T ≥ t, so it lands within one window (≤ lookahead) of where
 // hop-arrival application would put it — and identically so for every shard
@@ -35,31 +34,15 @@ package sim
 
 // churnBarrier fires all membership events with at ≤ T and applies them to
 // the queued in-flight packets. Coordinator-only: runs between rounds.
-func (r *shardRun) churnBarrier(T float64) {
+func (r *kernelRun) churnBarrier(T float64) {
 	for si, sc := range r.churn {
 		if sc == nil {
 			continue
 		}
-		newLeaves := false
-		for sc.next < len(sc.events) && sc.events[sc.next].at <= T {
-			ev := sc.events[sc.next]
-			sc.next++
-			if !ev.join {
-				sc.left[ev.node] = true
-				newLeaves = true
-				continue
-			}
-			if sc.member[ev.node] || sc.left[ev.node] {
-				r.base[si].JoinsMissed++
-				continue
-			}
-			sc.member[ev.node] = true
-			sc.pending = append(sc.pending, ev.node)
-		}
-		if newLeaves {
+		if sc.fire(T, &r.base[si]) {
 			r.stripLeft(si, sc)
 		}
-		if len(sc.pending) > 0 {
+		if len(sc.ready) > 0 {
 			r.spliceJoins(si, sc)
 		}
 	}
@@ -67,41 +50,19 @@ func (r *shardRun) churnBarrier(T float64) {
 
 // stripLeft retires every left destination from every queued copy of session
 // si, billing each retired destination once and re-anchoring copies whose
-// anchor departed.
-func (r *shardRun) stripLeft(si int, sc *shardChurn) {
+// anchor departed at the node holding them.
+func (r *kernelRun) stripLeft(si int, sc *sessionChurn) {
 	var retiredN int
 	for _, ln := range r.lanes {
 		for i := range ln.q {
 			ev := &ln.q[i]
-			pkt := ev.pkt
-			if pkt == nil || pkt.Session != si {
-				continue
-			}
-			kept := pkt.Dests[:0]
-			keptL := pkt.Locs[:0]
-			for k, d := range pkt.Dests {
-				if sc.left[d] {
-					if !sc.retired[d] {
-						if sc.retired == nil {
-							sc.retired = make(map[int]bool)
-						}
-						sc.retired[d] = true
-						retiredN++
-					}
-					continue
-				}
-				kept = append(kept, d)
-				keptL = append(keptL, pkt.Locs[k])
-			}
-			pkt.Dests = kept
-			pkt.Locs = keptL
-			if pkt.Anchor >= 0 && sc.left[pkt.Anchor] {
-				pkt.Anchor = holderOf(ev)
+			if ev.pkt != nil && ev.pkt.Session == si {
+				retiredN += sc.retire(ev.pkt, holderOf(ev))
 			}
 		}
 	}
 	if retiredN > 0 {
-		// One retirement event per barrier sweep (the single-queue engine
+		// One retirement event per barrier sweep (the single-queue policy
 		// counts one per affected packet); the destination-level counts —
 		// the conservation invariant's side — are identical.
 		r.base[si].DropsByReason[ReasonLeft]++
@@ -109,11 +70,11 @@ func (r *shardRun) stripLeft(si int, sc *shardChurn) {
 	}
 }
 
-// spliceJoins boards all pending joins onto the earliest queued copy of
+// spliceJoins boards all ready joins onto the earliest queued copy of
 // session si, in the kernel's event order. With no live copy the joins stay
-// pending for a later barrier (or the epilogue's missed count).
-func (r *shardRun) spliceJoins(si int, sc *shardChurn) {
-	var best *shardEvent
+// ready for a later barrier (or the epilogue's missed count).
+func (r *kernelRun) spliceJoins(si int, sc *sessionChurn) {
+	var best *event
 	for _, ln := range r.lanes {
 		for i := range ln.q {
 			ev := &ln.q[i]
@@ -125,68 +86,15 @@ func (r *shardRun) spliceJoins(si int, sc *shardChurn) {
 			}
 		}
 	}
-	if best == nil {
-		return
+	if best != nil {
+		sc.splice(best.pkt, best.time, r.e.net.Pos, &r.base[si])
 	}
-	bl := &r.base[si]
-	for _, j := range sc.pending {
-		if sc.left[j] {
-			// The leave overtook the join before any packet passed by.
-			bl.JoinsMissed++
-			continue
-		}
-		bl.DestCount++
-		bl.JoinsSpliced++
-		if j == sc.src {
-			// The source joined its own group: trivially delivered where the
-			// task originated, at hop 0.
-			bl.Delivered[j] = 0
-			bl.DeliveredAt[j] = best.time
-			continue
-		}
-		best.pkt.Dests = append(best.pkt.Dests, j)
-		best.pkt.Locs = append(best.pkt.Locs, r.e.net.Pos(j))
-	}
-	sc.pending = sc.pending[:0]
-}
-
-// churnEpilogue counts joins that never fired, or fired but never found a
-// packet to board, as missed — so every scheduled join lands in exactly one
-// of JoinsSpliced/JoinsMissed, matching the single-queue engine.
-func (r *shardRun) churnEpilogue() {
-	if r.churn == nil {
-		return
-	}
-	for si, sc := range r.churn {
-		if sc == nil {
-			continue
-		}
-		for ; sc.next < len(sc.events); sc.next++ {
-			if sc.events[sc.next].join {
-				r.base[si].JoinsMissed++
-			}
-		}
-		r.base[si].JoinsMissed += len(sc.pending)
-		sc.pending = nil
-	}
-}
-
-// eventBefore is the kernel's (time, tile, seq) strict total order on event
-// pointers, used when scanning queues in place.
-func eventBefore(a, b *shardEvent) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	if a.tile != b.tile {
-		return a.tile < b.tile
-	}
-	return a.seq < b.seq
 }
 
 // holderOf returns the node currently responsible for a queued event's
 // packet: the receiver of an in-flight frame, the sender of a pending retry
 // or give-up, the source of an unstarted session.
-func holderOf(ev *shardEvent) int {
+func holderOf(ev *event) int {
 	if ev.kind == evReceive {
 		return ev.to
 	}
