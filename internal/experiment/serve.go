@@ -183,6 +183,22 @@ func (r *ServeReport) Violations() []string {
 	return out
 }
 
+// Fingerprint renders the run-stable fields of every arm, one line per arm,
+// then the oracle verdict lines. Throughput, latency, retry, shed and
+// affliction counts are wall-clock measurements and are deliberately absent;
+// what remains — arm, chaos mode, probe and drain outcomes, violation count —
+// is fixed by the oracle whenever it passes.
+func (r *ServeReport) Fingerprint() string {
+	var b strings.Builder
+	for _, a := range r.Arms {
+		fmt.Fprintf(&b, "arm=%s chaos=%s probe=%d/%d drain-clean=%t flushed=%d violations=%d\n",
+			a.Name, a.Chaos, a.ProbeForwards, a.ProbeOffered, a.Drain.Clean, a.Drain.Flushed,
+			len(a.Violations))
+	}
+	b.WriteString(r.oracleLines())
+	return b.String()
+}
+
 // Render formats the report for terminal output.
 func (r *ServeReport) Render() string {
 	var b strings.Builder
@@ -202,12 +218,19 @@ func (r *ServeReport) Render() string {
 			a.Load.TransportErrors+a.Load.DialErrors, st.Evicted, a.Afflicted,
 			a.ProbeForwards, a.ProbeOffered, lat)
 	}
+	b.WriteString(r.oracleLines())
+	return b.String()
+}
+
+// oracleLines renders the oracle verdict: PASS, or FAIL with every
+// violation.
+func (r *ServeReport) oracleLines() string {
 	violations := r.Violations()
 	if len(violations) == 0 {
-		b.WriteString("  oracle    PASS (0 violations: every admitted request answered exactly once;\n")
-		b.WriteString("            post-chaos probes 100% FORWARDS)\n")
-		return b.String()
+		return "  oracle    PASS (0 violations: every admitted request answered exactly once;\n" +
+			"            post-chaos probes 100% FORWARDS)\n"
 	}
+	var b strings.Builder
 	fmt.Fprintf(&b, "  oracle    FAIL (%d violations)\n", len(violations))
 	for _, v := range violations {
 		b.WriteString("    " + v + "\n")

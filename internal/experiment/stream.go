@@ -196,6 +196,21 @@ func (r *StreamReport) Speedup() float64 {
 	return stream / perhop
 }
 
+// Fingerprint renders the run-stable fields: one line per arm (arm, mode,
+// completed routes, violation count), then the replay and oracle lines.
+// Throughput, latency and the arms' cache hit/miss split are wall-clock or
+// interleaving dependent and are deliberately absent; the replay audit runs
+// on one connection, so its cached-decision count is stable.
+func (r *StreamReport) Fingerprint() string {
+	var b strings.Builder
+	for _, a := range r.Arms {
+		fmt.Fprintf(&b, "arm=%s stream=%t cache=%t routes=%d violations=%d\n",
+			a.Name, a.Stream, a.Cache, a.Load.Routes, len(a.Violations))
+	}
+	b.WriteString(r.replayLines())
+	return b.String()
+}
+
 // Render formats the report for terminal output.
 func (r *StreamReport) Render() string {
 	var b strings.Builder
@@ -215,6 +230,13 @@ func (r *StreamReport) Render() string {
 	if s := r.Speedup(); s > 0 {
 		fmt.Fprintf(&b, "  speedup   streamed %.2fx per-hop (cache on, same routes)\n", s)
 	}
+	b.WriteString(r.replayLines())
+	return b.String()
+}
+
+// replayLines renders the replay-audit summary and the oracle verdict.
+func (r *StreamReport) replayLines() string {
+	var b strings.Builder
 	fmt.Fprintf(&b, "  replay    %d routes streamed cold+memoized and engine-replayed (%d cached decisions)\n",
 		r.ReplayRoutes, r.ReplayCacheHits)
 	violations := r.Violations()
