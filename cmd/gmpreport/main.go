@@ -26,141 +26,93 @@ func main() {
 	}
 }
 
+// section is one campaign in the report: the registry name, the protocol
+// subset the report charts (nil = the campaign's default), and one caption
+// per campaign table ("" leaves that table out).
+type section struct {
+	campaign  string
+	protocols []string
+	captions  []string
+}
+
+// paper is the §5 reproduction: Figures 11, 12, 14 and 15 (all's failure-rate
+// table is left out) and the λ trade-off.
+var paper = []section{
+	{campaign: "all", captions: []string{
+		"Paper claim: GMP lowest; reduction vs PBM and LGS up to 25%.",
+		"Paper claim: PBM ≈ GMP ≈ SMT close to GRD; LGS clearly worse.",
+		"Paper claim: energy mirrors total hops; GMP saves ~25% vs PBM/LGS.",
+		"",
+		"Paper claim: failures rise as density falls; LGS worst, GMP best. " +
+			"Densities below the paper's 400-node floor exercise the geometric-void regime (ideal MAC).",
+	}},
+	{campaign: "lambda", captions: []string{
+		"PBM's λ trade-off (§5.1): larger λ merges copies at the cost of per-destination progress."}},
+}
+
+// extensions are the E-X campaigns -extensions adds.
+var extensions = []section{
+	{campaign: "robustness", protocols: []string{experiment.ProtoGMP, experiment.ProtoLGS, experiment.ProtoGRD},
+		captions: []string{"E-X1: random radio failures; stateless protocols degrade gracefully."}},
+	{campaign: "localization", protocols: []string{experiment.ProtoGMP, experiment.ProtoLGS, experiment.ProtoGRD},
+		captions: []string{"E-X2: GPS error on reported positions; physics truthful.",
+			"E-X2: detour cost of misjudged progress."}},
+	{campaign: "staleness", protocols: []string{experiment.ProtoGMP, experiment.ProtoGRD},
+		captions: []string{"E-X3: destination coordinates stale under random-waypoint mobility."}},
+	{campaign: "load", protocols: []string{experiment.ProtoGMP, experiment.ProtoGRD},
+		captions: []string{"E-X5: delivery latency under concurrent sessions (half-duplex senders)."}},
+	{campaign: "beaconing", captions: []string{
+		"E-X6: neighbor-table position error vs beacon period.",
+		"",
+		"E-X6: the control-plane energy that buys it."}},
+	{campaign: "clustering", protocols: []string{experiment.ProtoGMP, experiment.ProtoGRD},
+		captions: []string{"E-X7: multicast's advantage grows as destinations cluster."}},
+}
+
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gmpreport", flag.ContinueOnError)
 	var (
-		out        = fs.String("o", "report.html", "output HTML file (- for stdout)")
-		quick      = fs.Bool("quick", false, "scaled-down campaign")
-		seed       = fs.Int64("seed", 0, "override campaign seed")
-		extensions = fs.Bool("extensions", false, "include the E-X robustness/localization/staleness extensions (slower)")
+		out   = fs.String("o", "report.html", "output HTML file (- for stdout)")
+		quick = fs.Bool("quick", false, "scaled-down campaign")
+		seed  = fs.Int64("seed", 0, "override campaign seed")
+		ext   = fs.Bool("extensions", false, "include the E-X robustness/localization/staleness extensions (slower)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	cfg := experiment.Default()
-	if *quick {
-		cfg = experiment.Quick()
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-
+	com := experiment.Common{Quick: *quick, Seed: *seed}
+	cfg := com.Main()
 	rep := report.New(
 		"GMP reproduction report",
 		fmt.Sprintf("Wu & Candan, ICDCS 2006 — %d nodes, %d networks × %d tasks, seed %d",
 			cfg.Nodes, cfg.Networks, cfg.TasksPerNet, cfg.Seed),
 	)
 
-	res, err := experiment.RunMain(cfg, experiment.AllProtocols())
-	if err != nil {
-		return err
+	sections := paper
+	if *ext {
+		sections = append(sections[:len(sections):len(sections)], extensions...)
 	}
-	rep.Add(res.TotalHops, "Paper claim: GMP lowest; reduction vs PBM and LGS up to 25%.")
-	rep.Add(res.PerDestHops, "Paper claim: PBM ≈ GMP ≈ SMT close to GRD; LGS clearly worse.")
-	rep.Add(res.Energy, "Paper claim: energy mirrors total hops; GMP saves ~25% vs PBM/LGS.")
-
-	fc := experiment.DefaultFailureConfig()
-	if *quick {
-		fc = experiment.QuickFailureConfig()
-	}
-	fc.Base.Seed = cfg.Seed
-	ftbl, err := experiment.RunFailures(fc, []string{
-		experiment.ProtoPBM, experiment.ProtoLGS, experiment.ProtoGMP,
-	})
-	if err != nil {
-		return err
-	}
-	rep.Add(ftbl, "Paper claim: failures rise as density falls; LGS worst, GMP best. "+
-		"Densities below the paper's 400-node floor exercise the geometric-void regime (ideal MAC).")
-
-	ltbl, err := experiment.LambdaSweep(cfg, middleK(cfg))
-	if err != nil {
-		return err
-	}
-	rep.Add(ltbl, "PBM's λ trade-off (§5.1): larger λ merges copies at the cost of per-destination progress.")
-
-	if *extensions {
-		rc := experiment.DefaultRobustnessConfig()
-		if *quick {
-			rc = experiment.QuickRobustnessConfig()
+	for _, s := range sections {
+		cp, ok := experiment.LookupCampaign(s.campaign)
+		if !ok {
+			return fmt.Errorf("no campaign %q", s.campaign)
 		}
-		rc.Base.Seed = cfg.Seed
-		rtbl, err := experiment.RunRobustness(rc, []string{
-			experiment.ProtoGMP, experiment.ProtoLGS, experiment.ProtoGRD,
-		})
+		com.Protocols = s.protocols
+		res, err := cp.Run(com)
 		if err != nil {
 			return err
 		}
-		rep.Add(rtbl, "E-X1: random radio failures; stateless protocols degrade gracefully.")
-
-		lc := experiment.DefaultLocalizationConfig()
-		if *quick {
-			lc = experiment.QuickLocalizationConfig()
+		for i, caption := range s.captions {
+			if caption != "" {
+				rep.Add(res.Tables[i], caption)
+			}
 		}
-		lc.Base.Seed = cfg.Seed
-		lres, err := experiment.RunLocalization(lc, []string{
-			experiment.ProtoGMP, experiment.ProtoLGS, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
-		}
-		rep.Add(lres.Delivery, "E-X2: GPS error on reported positions; physics truthful.")
-		rep.Add(lres.TotalHops, "E-X2: detour cost of misjudged progress.")
-
-		sc := experiment.DefaultStalenessConfig()
-		if *quick {
-			sc = experiment.QuickStalenessConfig()
-		}
-		sc.Base.Seed = cfg.Seed
-		stbl, err := experiment.RunStaleness(sc, []string{
-			experiment.ProtoGMP, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
-		}
-		rep.Add(stbl, "E-X3: destination coordinates stale under random-waypoint mobility.")
-
-		ld := experiment.DefaultLoadConfig()
-		if *quick {
-			ld = experiment.QuickLoadConfig()
-		}
-		ld.Base.Seed = cfg.Seed
-		ldtbl, err := experiment.RunLoad(ld, []string{experiment.ProtoGMP, experiment.ProtoGRD})
-		if err != nil {
-			return err
-		}
-		rep.Add(ldtbl, "E-X5: delivery latency under concurrent sessions (half-duplex senders).")
-
-		bcn := experiment.DefaultBeaconConfig()
-		if *quick {
-			bcn = experiment.QuickBeaconConfig()
-		}
-		bcn.Base.Seed = cfg.Seed
-		bres, err := experiment.RunBeaconing(bcn)
-		if err != nil {
-			return err
-		}
-		rep.Add(bres.PosError, "E-X6: neighbor-table position error vs beacon period.")
-		rep.Add(bres.EnergyPerHour, "E-X6: the control-plane energy that buys it.")
-
-		cl := experiment.DefaultClusteringConfig()
-		if *quick {
-			cl = experiment.QuickClusteringConfig()
-		}
-		cl.Base.Seed = cfg.Seed
-		cltbl, err := experiment.RunClustering(cl, []string{
-			experiment.ProtoGMP, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
-		}
-		rep.Add(cltbl, "E-X7: multicast's advantage grows as destinations cluster.")
 	}
 
 	html := rep.HTML(time.Now())
 	if *out == "-" {
-		_, err = io.WriteString(stdout, html)
+		_, err := io.WriteString(stdout, html)
 		return err
 	}
 	if err := os.WriteFile(*out, []byte(html), 0o644); err != nil {
@@ -168,11 +120,4 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "wrote %s (%d sections)\n", *out, rep.Len())
 	return nil
-}
-
-func middleK(cfg experiment.Config) int {
-	if len(cfg.Ks) == 0 {
-		return 12
-	}
-	return cfg.Ks[len(cfg.Ks)/2]
 }

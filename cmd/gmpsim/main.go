@@ -15,13 +15,16 @@
 //	gmpsim -experiment delivery             # E-X12: delivery guarantee on adversarial topologies
 //	gmpsim -experiment serve                # E-X13: gmpd under overload and transport chaos
 //	gmpsim -experiment stream               # E-X14: streamed routes vs per-hop, memo cache on/off
-//	gmpsim -experiment all                  # everything
+//	gmpsim -experiment all                  # setup + Figures 11/12/14 + failure rate + Figure 15
 //
-// The -quick flag runs a scaled-down campaign (seconds instead of minutes);
-// -csv switches output to CSV for plotting. The -loss, -edgeloss, -crash and
-// -arq flags inject faults (lossy links, node crashes, hop-by-hop ARQ) into
-// every engine any experiment builds; -experiment loss runs the dedicated
-// loss-rate sweep comparing all protocols with and without ARQ.
+// Experiments come from the campaign registry (internal/experiment). The
+// -quick flag runs a scaled-down campaign (seconds instead of minutes); -csv
+// switches output to CSV for plotting. -protocols replaces the protocol list
+// of every experiment that takes one. The main-config flags -config, -nodes,
+// -networks, -tasks, -ks and the fault flags -loss, -edgeloss, -crash, -arq
+// apply to setup, totalhops, perdest, energy, lambda, compare and all; the
+// other experiments run on their own configs and reject them, except that
+// loss takes -arq for its +arq arms.
 //
 // Every experiment runs on the campaign runner's bounded worker pool;
 // -workers caps the pool (0 = one worker per CPU) and -progress renders a
@@ -45,12 +48,14 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
 
 	"gmp/internal/experiment"
 	"gmp/internal/profiling"
+	"gmp/internal/routing"
 	"gmp/internal/sim"
 	"gmp/internal/stats"
 )
@@ -65,7 +70,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gmpsim", flag.ContinueOnError)
 	var (
-		exp      = fs.String("experiment", "all", "setup|totalhops|perdest|energy|failures|loss|lambda|compare|robustness|localization|staleness|lifetime|load|beaconing|clustering|chaos|churn|scale|delivery|serve|stream|all")
+		exp      = fs.String("experiment", "all", strings.Join(experiment.CampaignNames(), "|"))
 		quick    = fs.Bool("quick", false, "scaled-down campaign for smoke runs")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonOut  = fs.Bool("json", false, "emit JSON instead of aligned tables")
@@ -74,8 +79,8 @@ func run(args []string, out io.Writer) error {
 		networks = fs.Int("networks", 0, "override number of deployments")
 		tasks    = fs.Int("tasks", 0, "override tasks per deployment")
 		ks       = fs.String("ks", "", "override destination-count sweep, e.g. 3,5,10")
-		protos   = fs.String("protocols", "", "comma-separated protocol subset (default: the paper's set; registered: "+
-			strings.Join(experiment.RegisteredProtocols(), ",")+")")
+		protos   = fs.String("protocols", "", "comma-separated protocol subset (default: the experiment's set; registered: "+
+			strings.Join(routing.Names(), ",")+")")
 		confPath = fs.String("config", "", "JSON campaign config file (see -dumpconfig for the schema)")
 		dumpConf = fs.Bool("dumpconfig", false, "print the effective campaign config as JSON and exit")
 		pair     = fs.String("pair", "GMP,LGS", "for -experiment compare: the two protocols, A,B")
@@ -111,10 +116,15 @@ func run(args []string, out io.Writer) error {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	cfg := experiment.Default()
-	if *quick {
-		cfg = experiment.Quick()
+	com := experiment.Common{Ctx: ctx, Quick: *quick, Seed: *seed, Workers: *workers,
+		Shards: *shards, ARQ: *arq, Pair: *pair, K: *kFlag}
+	if *progress {
+		com.Progress = progressPrinter(os.Stderr)
 	}
+	if *protos != "" {
+		com.Protocols = strings.Split(*protos, ",")
+	}
+	cfg := com.Main()
 	if *confPath != "" {
 		data, err := os.ReadFile(*confPath)
 		if err != nil {
@@ -123,9 +133,6 @@ func run(args []string, out io.Writer) error {
 		if err := json.Unmarshal(data, &cfg); err != nil {
 			return fmt.Errorf("-config %s: %w", *confPath, err)
 		}
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
 	}
 	if *nodes != 0 {
 		cfg.Nodes = *nodes
@@ -157,19 +164,9 @@ func run(args []string, out io.Writer) error {
 	if *arq {
 		cfg.ARQ = sim.DefaultARQ()
 	}
-	if *workers != 0 {
-		cfg.Workers = *workers
-	}
-	if *progress {
-		cfg.Progress = progressPrinter(os.Stderr)
-	}
-	cfg.Ctx = ctx
-	protoList := experiment.AllProtocols()
-	if *protos != "" {
-		protoList = strings.Split(*protos, ",")
-	}
+	com.Config = &cfg
 	if *dumpConf {
-		data, err := json.MarshalIndent(cfg, "", "  ")
+		data, err := json.MarshalIndent(com.Main(), "", "  ")
 		if err != nil {
 			return err
 		}
@@ -177,19 +174,39 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
+	cp, ok := experiment.LookupCampaign(*exp)
+	if !ok {
+		return fmt.Errorf("unknown experiment %q", *exp)
+	}
+	// A main-config flag on a campaign that runs on its own config would
+	// change nothing; say so instead of printing an unaffected run.
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(experiment.MainConfigFlags, f.Name) && !slices.Contains(cp.Flags, f.Name) {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		return fmt.Errorf("-experiment %s runs on its own config and does not honour %s",
+			cp.Name, strings.Join(ignored, ", "))
+	}
+
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			return fmt.Errorf("-outdir: %w", err)
 		}
 	}
-	var emitErr error
-	emit := func(t *stats.Table) {
+	rep, err := cp.Run(com)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(out, rep.Text)
+	for _, t := range rep.Tables {
 		switch {
 		case *jsonOut:
 			data, err := json.Marshal(t)
 			if err != nil {
-				emitErr = err
-				return
+				return err
 			}
 			fmt.Fprintln(out, string(data))
 		case *csv:
@@ -198,328 +215,15 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out, t.Render())
 		}
 		if *outDir != "" {
-			if err := writeArtifacts(*outDir, t); err != nil && emitErr == nil {
-				emitErr = err
+			if err := writeArtifacts(*outDir, t); err != nil {
+				return err
 			}
 		}
 	}
-	defer func() {
-		if emitErr != nil {
-			fmt.Fprintln(os.Stderr, "gmpsim: emit:", emitErr)
-		}
-	}()
-
-	switch *exp {
-	case "setup":
-		printSetup(out, cfg)
-	case "totalhops", "perdest", "energy":
-		res, err := experiment.RunMain(cfg, protoList)
-		if err != nil {
-			return err
-		}
-		switch *exp {
-		case "totalhops":
-			emit(res.TotalHops)
-		case "perdest":
-			emit(res.PerDestHops)
-		case "energy":
-			emit(res.Energy)
-		}
-	case "failures":
-		fc := experiment.DefaultFailureConfig()
-		if *quick {
-			fc = experiment.QuickFailureConfig()
-		}
-		inheritRun(&fc.Base, cfg)
-		tbl, err := experiment.RunFailures(fc, []string{
-			experiment.ProtoPBM, experiment.ProtoLGS, experiment.ProtoGMP,
-		})
-		if err != nil {
-			return err
-		}
-		emit(tbl)
-	case "loss":
-		lsc := experiment.DefaultLossConfig()
-		if *quick {
-			lsc = experiment.QuickLossConfig()
-		}
-		inheritRun(&lsc.Base, cfg)
-		if *arq {
-			lsc.ARQ = sim.DefaultARQ()
-		}
-		res, err := experiment.RunLoss(lsc, []string{
-			experiment.ProtoGMP, experiment.ProtoPBM, experiment.ProtoLGS,
-		})
-		if err != nil {
-			return err
-		}
-		emit(res.Failures)
-		emit(res.Transmissions)
-		emit(res.Energy)
-	case "robustness":
-		rc := experiment.DefaultRobustnessConfig()
-		if *quick {
-			rc = experiment.QuickRobustnessConfig()
-		}
-		inheritRun(&rc.Base, cfg)
-		tbl, err := experiment.RunRobustness(rc, []string{
-			experiment.ProtoGMP, experiment.ProtoPBM, experiment.ProtoLGS, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
-		}
-		emit(tbl)
-	case "localization":
-		lc := experiment.DefaultLocalizationConfig()
-		if *quick {
-			lc = experiment.QuickLocalizationConfig()
-		}
-		inheritRun(&lc.Base, cfg)
-		res, err := experiment.RunLocalization(lc, []string{
-			experiment.ProtoGMP, experiment.ProtoPBM, experiment.ProtoLGS, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
-		}
-		emit(res.Delivery)
-		emit(res.TotalHops)
-	case "staleness":
-		sc := experiment.DefaultStalenessConfig()
-		if *quick {
-			sc = experiment.QuickStalenessConfig()
-		}
-		inheritRun(&sc.Base, cfg)
-		tbl, err := experiment.RunStaleness(sc, []string{
-			experiment.ProtoGMP, experiment.ProtoPBM, experiment.ProtoLGS, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
-		}
-		emit(tbl)
-	case "lifetime":
-		lt := experiment.DefaultLifetimeConfig()
-		if *quick {
-			lt = experiment.QuickLifetimeConfig()
-		}
-		inheritRun(&lt.Base, cfg)
-		res, err := experiment.RunLifetime(lt, []string{
-			experiment.ProtoGMP, experiment.ProtoPBM, experiment.ProtoLGS, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
-		}
-		emit(res.FirstDeath)
-		emit(res.FirstFailure)
-	case "load":
-		ld := experiment.DefaultLoadConfig()
-		if *quick {
-			ld = experiment.QuickLoadConfig()
-		}
-		inheritRun(&ld.Base, cfg)
-		tbl, err := experiment.RunLoad(ld, []string{
-			experiment.ProtoGMP, experiment.ProtoPBM, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
-		}
-		emit(tbl)
-	case "beaconing":
-		bcfg := experiment.DefaultBeaconConfig()
-		if *quick {
-			bcfg = experiment.QuickBeaconConfig()
-		}
-		inheritRun(&bcfg.Base, cfg)
-		res, err := experiment.RunBeaconing(bcfg)
-		if err != nil {
-			return err
-		}
-		emit(res.PosError)
-		emit(res.MissingFrac)
-		emit(res.EnergyPerHour)
-	case "clustering":
-		cc := experiment.DefaultClusteringConfig()
-		if *quick {
-			cc = experiment.QuickClusteringConfig()
-		}
-		inheritRun(&cc.Base, cfg)
-		tbl, err := experiment.RunClustering(cc, []string{
-			experiment.ProtoGMP, experiment.ProtoPBM, experiment.ProtoLGS, experiment.ProtoGRD,
-		})
-		if err != nil {
-			return err
-		}
-		emit(tbl)
-	case "chaos":
-		cc := experiment.DefaultChaosConfig()
-		if *quick {
-			cc = experiment.QuickChaosConfig()
-		}
-		inheritRun(&cc.Base, cfg)
-		if *protos != "" {
-			cc.Protos = protoList
-		}
-		rep, err := experiment.RunChaos(cc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, rep.Render())
-		if len(rep.Violations) > 0 {
-			return fmt.Errorf("chaos: %d invariant violations", len(rep.Violations))
-		}
-	case "churn":
-		cc := experiment.DefaultChurnConfig()
-		if *quick {
-			cc = experiment.QuickChurnConfig()
-		}
-		inheritRun(&cc.Base, cfg)
-		if *protos != "" {
-			cc.Protos = protoList
-		}
-		rep, err := experiment.RunChurn(cc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, rep.Render())
-		if len(rep.Violations) > 0 {
-			return fmt.Errorf("churn: %d invariant violations", len(rep.Violations))
-		}
-	case "scale":
-		sc := experiment.DefaultScaleConfig()
-		if *quick {
-			sc = experiment.QuickScaleConfig()
-		}
-		sc.Seed = cfg.Seed
-		sc.Progress = cfg.Progress
-		sc.Ctx = ctx
-		sc.Shards = *shards
-		if *protos != "" {
-			sc.Protos = protoList
-		}
-		rep, err := experiment.RunScale(sc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, rep.Render())
-		var violations int
-		for _, a := range rep.Arms {
-			violations += len(a.Violations)
-		}
-		if violations > 0 {
-			return fmt.Errorf("scale: %d invariant violations", violations)
-		}
-	case "delivery":
-		dc := experiment.DefaultDeliveryConfig()
-		if *quick {
-			dc = experiment.QuickDeliveryConfig()
-		}
-		if *seed != 0 {
-			dc.Seed = *seed
-		}
-		dc.Progress = cfg.Progress
-		dc.Ctx = ctx
-		if *protos != "" {
-			dc.Protos = protoList
-		}
-		rep, err := experiment.RunDelivery(dc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, rep.Render())
-		if v := rep.Violations(); len(v) > 0 {
-			return fmt.Errorf("delivery: %d invariant violations", len(v))
-		}
-	case "serve":
-		sc := experiment.DefaultServeConfig()
-		if *quick {
-			sc = experiment.QuickServeConfig()
-		}
-		if *seed != 0 {
-			sc.Seed = *seed
-		}
-		sc.Progress = cfg.Progress
-		sc.Ctx = ctx
-		rep, err := experiment.RunServe(sc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, rep.Render())
-		if v := rep.Violations(); len(v) > 0 {
-			return fmt.Errorf("serve: %d invariant violations", len(v))
-		}
-	case "stream":
-		tc := experiment.DefaultStreamConfig()
-		if *quick {
-			tc = experiment.QuickStreamConfig()
-		}
-		if *seed != 0 {
-			tc.Seed = *seed
-		}
-		tc.Progress = cfg.Progress
-		tc.Ctx = ctx
-		rep, err := experiment.RunStream(tc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, rep.Render())
-		if v := rep.Violations(); len(v) > 0 {
-			return fmt.Errorf("stream: %d invariant violations", len(v))
-		}
-	case "compare":
-		parts := strings.Split(*pair, ",")
-		if len(parts) != 2 {
-			return fmt.Errorf("-pair wants A,B; got %q", *pair)
-		}
-		res, err := experiment.CompareProtocols(cfg, strings.TrimSpace(parts[0]),
-			strings.TrimSpace(parts[1]), *kFlag)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, res.String())
-	case "lambda":
-		k := 12
-		if len(cfg.Ks) > 0 {
-			k = cfg.Ks[len(cfg.Ks)/2]
-		}
-		tbl, err := experiment.LambdaSweep(cfg, k)
-		if err != nil {
-			return err
-		}
-		emit(tbl)
-	case "all":
-		printSetup(out, cfg)
-		res, err := experiment.RunMain(cfg, protoList)
-		if err != nil {
-			return err
-		}
-		emit(res.TotalHops)
-		emit(res.PerDestHops)
-		emit(res.Energy)
-		emit(res.FailureRate)
-		fc := experiment.DefaultFailureConfig()
-		if *quick {
-			fc = experiment.QuickFailureConfig()
-		}
-		inheritRun(&fc.Base, cfg)
-		ftbl, err := experiment.RunFailures(fc, []string{
-			experiment.ProtoPBM, experiment.ProtoLGS, experiment.ProtoGMP,
-		})
-		if err != nil {
-			return err
-		}
-		emit(ftbl)
-	default:
-		return fmt.Errorf("unknown experiment %q", *exp)
+	if n := len(rep.Violations); n > 0 {
+		return fmt.Errorf("%s: %d invariant violations", cp.Name, n)
 	}
 	return nil
-}
-
-// inheritRun copies the run-level knobs — seed, worker cap and progress
-// sink — from the effective CLI config onto a sub-experiment's base config,
-// so every experiment honors -seed, -workers and -progress uniformly.
-func inheritRun(base *experiment.Config, cfg experiment.Config) {
-	base.Seed = cfg.Seed
-	base.Workers = cfg.Workers
-	base.Progress = cfg.Progress
 }
 
 // progressPrinter renders a live "done/total cells" counter on w, ending
@@ -531,22 +235,6 @@ func progressPrinter(w io.Writer) experiment.ProgressFunc {
 			fmt.Fprintln(w)
 		}
 	}
-}
-
-func printSetup(out io.Writer, cfg experiment.Config) {
-	fmt.Fprintln(out, "Table 1: simulation setup")
-	fmt.Fprintf(out, "  Network size        %.0fm x %.0fm\n", cfg.Width, cfg.Height)
-	fmt.Fprintf(out, "  Number of nodes     %d\n", cfg.Nodes)
-	fmt.Fprintf(out, "  Channel data rate   %.0f Mbps\n", cfg.Radio.DataRateBps/1e6)
-	fmt.Fprintf(out, "  Transmission power  %.1f W\n", cfg.Radio.TxPowerW)
-	fmt.Fprintf(out, "  Receiving power     %.1f W\n", cfg.Radio.RxPowerW)
-	fmt.Fprintf(out, "  Message size        %d B\n", cfg.Radio.MessageBytes)
-	fmt.Fprintf(out, "  Radio range         %.0f m\n", cfg.RadioRange)
-	fmt.Fprintf(out, "  Networks x tasks    %d x %d\n", cfg.Networks, cfg.TasksPerNet)
-	fmt.Fprintf(out, "  Destination sweep   %v\n", cfg.Ks)
-	fmt.Fprintf(out, "  Hop budget          %d\n", cfg.MaxHops)
-	fmt.Fprintf(out, "  Seed                %d\n", cfg.Seed)
-	fmt.Fprintln(out)
 }
 
 // writeArtifacts saves a table as both JSON and CSV under dir, named by a

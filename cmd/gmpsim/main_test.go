@@ -294,3 +294,52 @@ func TestNegativeShardsRejected(t *testing.T) {
 		t.Fatalf("err = %v, want shard-count validation error", err)
 	}
 }
+
+// TestFlagsReachEveryExperiment pins the two halves of the flag contract:
+// -protocols replaces the list of every experiment that takes one, and a
+// main-config flag on an experiment that runs on its own config is an error
+// naming the flag, never a silently unaffected run.
+func TestFlagsReachEveryExperiment(t *testing.T) {
+	cases := []struct {
+		args    []string
+		want    string // substring of the output, or of the error when wantErr
+		wantErr bool
+	}{
+		{[]string{"-experiment", "robustness", "-protocols", "MCFR"}, "MCFR", false},
+		{[]string{"-experiment", "failures", "-protocols", "GMP"}, "GMP", false},
+		{[]string{"-experiment", "localization", "-protocols", "GRD"}, "GRD", false},
+		{[]string{"-experiment", "load", "-protocols", "GMP,LGS"}, "LGS", false},
+		{[]string{"-experiment", "loss", "-arq"}, "GMP+arq", false},
+		{[]string{"-experiment", "robustness", "-loss", "0.5"}, "-loss", true},
+		{[]string{"-experiment", "robustness", "-crash", "0.3", "-nodes", "150"}, "-crash, -nodes", true},
+		{[]string{"-experiment", "staleness", "-networks", "1"}, "-networks", true},
+		{[]string{"-experiment", "lifetime", "-tasks", "2"}, "-tasks", true},
+		{[]string{"-experiment", "clustering", "-ks", "3"}, "-ks", true},
+		{[]string{"-experiment", "loss", "-edgeloss", "0.2"}, "-edgeloss", true},
+		{[]string{"-experiment", "failures", "-arq"}, "-arq", true},
+		{[]string{"-experiment", "serve", "-config", "x.json"}, "-config", true},
+		{[]string{"-experiment", "stream", "-protocols", "GMP"}, "no protocol list", true},
+	}
+	for _, c := range cases {
+		args := append([]string{"-quick"}, c.args...)
+		var b strings.Builder
+		err := run(args, &b)
+		switch {
+		case c.wantErr && err == nil:
+			t.Errorf("%v: no error", c.args)
+		case c.wantErr && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%v: error %q does not name %q", c.args, err, c.want)
+		case !c.wantErr && err != nil:
+			t.Errorf("%v: %v", c.args, err)
+		case !c.wantErr && !strings.Contains(b.String(), c.want):
+			t.Errorf("%v: output lacks %q:\n%s", c.args, c.want, b.String())
+		}
+	}
+	// The protocol list replaces the default one rather than adding to it.
+	out := runCapture(t, "-experiment", "robustness", "-quick", "-protocols", "MCFR")
+	for _, p := range []string{"PBM", "LGS", "GRD"} {
+		if strings.Contains(out, p) {
+			t.Errorf("robustness -protocols MCFR still ran %s:\n%s", p, out)
+		}
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"gmp"
+	"gmp/internal/routing"
 	"gmp/internal/trace"
 	"gmp/internal/workload"
 )
@@ -31,7 +32,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gmptrace", flag.ContinueOnError)
 	var (
-		protoName = fs.String("protocol", "GMP", "GMP|GMPnr|LGS|LGK|PBM|GRD|SMT")
+		protoName = fs.String("protocol", "GMP", "registered protocol to trace: "+strings.Join(routing.Names(), "|"))
 		nodes     = fs.Int("nodes", 600, "deployed node count")
 		k         = fs.Int("k", 5, "number of destinations")
 		seed      = fs.Int64("seed", 1, "deployment and task seed")
@@ -52,24 +53,9 @@ func run(args []string, out io.Writer) error {
 	}
 	sys := gmp.NewSystem(nw, gmp.WithMaxHops(*maxHops))
 
-	var proto gmp.Protocol
-	switch strings.ToUpper(*protoName) {
-	case "GMP":
-		proto = sys.GMP()
-	case "GMPNR":
-		proto = sys.GMPnr()
-	case "LGS":
-		proto = sys.LGS()
-	case "LGK":
-		proto = sys.LGK(2)
-	case "PBM":
-		proto = sys.PBM(*lambda)
-	case "GRD":
-		proto = sys.GRD()
-	case "SMT":
-		proto = sys.SMT()
-	default:
-		return fmt.Errorf("unknown protocol %q", *protoName)
+	proto, err := routing.MakeFold(*protoName, routing.Ctx{Network: nw, Lambda: *lambda, LambdaSet: true})
+	if err != nil {
+		return err
 	}
 
 	task, err := workload.Generate(r, *nodes, *k)

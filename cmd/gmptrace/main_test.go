@@ -61,3 +61,26 @@ func TestTraceUnknownProtocol(t *testing.T) {
 		t.Fatal("unknown protocol should error")
 	}
 }
+
+// TestTraceResolvesThroughRegistry traces protocols the registry knows
+// beyond the paper's set, in any letter case: gmptrace has no protocol list
+// of its own.
+func TestTraceResolvesThroughRegistry(t *testing.T) {
+	for _, proto := range []string{"MCFR", "mcfr", "GMPmst", "gmpsmst"} {
+		var b strings.Builder
+		if err := run([]string{"-protocol", proto, "-nodes", "400", "-k", "3", "-seed", "9"}, &b); err != nil {
+			t.Fatalf("%s: %v", proto, err)
+		}
+		out := b.String()
+		if !strings.Contains(out, "protocol ") || !strings.Contains(out, "transmissions:") {
+			t.Fatalf("%s trace incomplete:\n%s", proto, out)
+		}
+	}
+	var b strings.Builder
+	if err := run([]string{"-protocol", "MCFR", "-nodes", "400", "-k", "3", "-seed", "9"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "protocol MCFR") {
+		t.Fatalf("MCFR trace header:\n%s", b.String())
+	}
+}

@@ -18,7 +18,6 @@ import (
 	"strconv"
 	"strings"
 
-	"gmp"
 	"gmp/internal/geom"
 	"gmp/internal/network"
 	"gmp/internal/planar"
@@ -41,7 +40,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gmpviz", flag.ContinueOnError)
 	var (
 		protoName = fs.String("protocol", "GMP", "registered protocol to trace: "+
-			strings.Join(registeredNames(), "|"))
+			strings.Join(routing.Names(), "|"))
 		nodes    = fs.Int("nodes", 600, "deployed node count")
 		k        = fs.Int("k", 5, "number of destinations")
 		seed     = fs.Int64("seed", 1, "deployment and task seed")
@@ -78,16 +77,6 @@ func run(args []string, stdout io.Writer) error {
 	return os.WriteFile(*out, []byte(svg), 0o644)
 }
 
-// registeredNames lists the registry's protocol names in display order.
-func registeredNames() []string {
-	specs := routing.Specs()
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
-	}
-	return names
-}
-
 func renderSim(protoName string, nodes, k int, seed int64, lambda float64) (string, error) {
 	r := rand.New(rand.NewSource(seed))
 	deployed := network.DeployUniform(nodes, 1000, 1000, r)
@@ -99,23 +88,9 @@ func renderSim(protoName string, nodes, k int, seed int64, lambda float64) (stri
 	en := sim.NewEngine(nw, sim.DefaultRadioParams(), 100)
 	en.SetViews(view.NewOracle(nw, pg))
 
-	// Case-insensitive lookup against the protocol registry: gmpviz renders
-	// whatever is registered, with no per-protocol wiring of its own.
-	var proto gmp.Protocol
-	for _, spec := range routing.Specs() {
-		if strings.EqualFold(spec.Name, protoName) {
-			p, err := routing.Make(spec.Name,
-				routing.Ctx{Network: nw, Lambda: lambda, LambdaSet: true})
-			if err != nil {
-				return "", err
-			}
-			proto = p
-			break
-		}
-	}
-	if proto == nil {
-		return "", fmt.Errorf("unknown protocol %q (registered: %s)",
-			protoName, strings.Join(registeredNames(), ", "))
+	proto, err := routing.MakeFold(protoName, routing.Ctx{Network: nw, Lambda: lambda, LambdaSet: true})
+	if err != nil {
+		return "", err
 	}
 
 	task, err := workload.Generate(r, nodes, k)

@@ -96,15 +96,7 @@ func (r *ChaosReport) Render() string {
 			s += fmt.Sprintf("  drops[%-16s]           %d\n", reason, r.DropsByReason[reason])
 		}
 	}
-	if len(r.Violations) == 0 {
-		s += "  oracle                            PASS (0 violations)\n"
-		return s
-	}
-	s += fmt.Sprintf("  oracle                            FAIL (%d violations)\n", len(r.Violations))
-	for _, v := range r.Violations {
-		s += "    " + v + "\n"
-	}
-	return s
+	return s + oracleVerdict("  oracle                            ", "PASS (0 violations)\n", r.Violations)
 }
 
 // chaosPlan is one drawn fault schedule plus its table-corruption knobs.

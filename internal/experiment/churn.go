@@ -161,15 +161,7 @@ func (r *ChurnReport) Render() string {
 		}
 		s += "\n"
 	}
-	if len(r.Violations) == 0 {
-		s += "  oracle                             PASS (0 violations)\n"
-		return s
-	}
-	s += fmt.Sprintf("  oracle                             FAIL (%d violations)\n", len(r.Violations))
-	for _, v := range r.Violations {
-		s += "    " + v + "\n"
-	}
-	return s
+	return s + oracleVerdict("  oracle                             ", "PASS (0 violations)\n", r.Violations)
 }
 
 // churnSession is one session's precomputed inputs: the ground-truth

@@ -8,6 +8,7 @@ import (
 	"gmp/internal/geom"
 	"gmp/internal/network"
 	"gmp/internal/planar"
+	"gmp/internal/routing"
 	"gmp/internal/sim"
 	"gmp/internal/view"
 	"gmp/internal/workload"
@@ -132,12 +133,8 @@ func (cfg DeliveryConfig) Validate() error {
 	if len(cfg.Protos) == 0 {
 		return fmt.Errorf("experiment: delivery needs at least one protocol")
 	}
-	reg := make(map[string]bool)
-	for _, p := range RegisteredProtocols() {
-		reg[p] = true
-	}
 	for _, p := range cfg.Protos {
-		if !reg[p] {
+		if _, ok := routing.Lookup(p); !ok {
 			return fmt.Errorf("%w: %q", ErrBadProtocol, p)
 		}
 	}
@@ -180,24 +177,12 @@ type DeliveryReport struct {
 func (r *DeliveryReport) Render() string {
 	s := "E-X12: delivery guarantee on adversarial topologies\n" +
 		fmt.Sprintf("  %-8s %-8s %10s %10s %10s\n", "topology", "proto", "delivered", "ratio", "wd-drops")
-	violations := 0
 	for _, a := range r.Arms {
 		s += fmt.Sprintf("  %-8s %-8s %5d/%-4d %9.1f%% %10d\n",
 			a.Topology, a.Proto, a.DeliveredDests, a.DestCount, 100*a.Ratio(),
 			a.DestDropsByReason[sim.ReasonWatchdog])
-		violations += len(a.Violations)
 	}
-	if violations == 0 {
-		s += "  oracle   PASS (0 violations)\n"
-		return s
-	}
-	s += fmt.Sprintf("  oracle   FAIL (%d violations)\n", violations)
-	for _, a := range r.Arms {
-		for _, v := range a.Violations {
-			s += "    " + v + "\n"
-		}
-	}
-	return s
+	return s + oracleVerdict("  oracle   ", "PASS (0 violations)\n", r.Violations())
 }
 
 // Violations collects every arm's violations, in arm order.

@@ -9,6 +9,7 @@ import (
 
 	"gmp/internal/network"
 	"gmp/internal/planar"
+	"gmp/internal/routing"
 	"gmp/internal/sim"
 	"gmp/internal/view"
 	"gmp/internal/workload"
@@ -144,12 +145,8 @@ func (cfg ScaleConfig) Validate() error {
 	if len(cfg.Protos) == 0 {
 		return fmt.Errorf("experiment: scale needs at least one protocol")
 	}
-	known := make(map[string]bool)
-	for _, p := range RegisteredProtocols() {
-		known[p] = true
-	}
 	for _, p := range cfg.Protos {
-		if !known[p] {
+		if _, ok := routing.Lookup(p); !ok {
 			return fmt.Errorf("%w: %q", ErrBadProtocol, p)
 		}
 	}
@@ -217,7 +214,7 @@ type ScaleReport struct {
 
 // Fingerprint renders every deterministic field of every arm, one line per
 // arm. The kernel's contract is that this string is byte-identical for every
-// shard count — TestShardsDeterminism and the CI quick-scale job compare it
+// shard count — TestShardsDeterminism and TestCampaignGoldens compare it
 // directly. Performance fields are deliberately absent.
 func (r *ScaleReport) Fingerprint() string {
 	var s string
@@ -233,12 +230,20 @@ func (r *ScaleReport) Fingerprint() string {
 	return s
 }
 
+// Violations collects every arm's violations, in arm order.
+func (r *ScaleReport) Violations() []string {
+	var out []string
+	for _, a := range r.Arms {
+		out = append(out, a.Violations...)
+	}
+	return out
+}
+
 // Render formats the report for terminal output: the deterministic outcome
 // columns, then the per-arm performance columns.
 func (r *ScaleReport) Render() string {
 	s := fmt.Sprintf("E-X10: scale sweep through the sharded kernel (%d shards)\n", r.Shards)
 	s += "    nodes    proto  tiles  deliv/dests     tx  energy(J)  build(s)    run(s)     hops/s  peakRSS\n"
-	var violations int
 	for _, a := range r.Arms {
 		name := a.Proto
 		if a.Faulted {
@@ -251,19 +256,8 @@ func (r *ScaleReport) Render() string {
 		s += fmt.Sprintf("  %7d %8s  %5d  %5d/%-5d %6d %10.4f %9.2f %9.3f %10.0f %8s\n",
 			a.Nodes, name, a.Tiles, a.DeliveredDests, a.DestCount, a.Transmissions,
 			a.EnergyJ, a.BuildSec, a.RunSec, a.HopsPerSec, rss)
-		violations += len(a.Violations)
 	}
-	if violations == 0 {
-		s += "  oracle  PASS (0 violations)\n"
-		return s
-	}
-	s += fmt.Sprintf("  oracle  FAIL (%d violations)\n", violations)
-	for _, a := range r.Arms {
-		for _, v := range a.Violations {
-			s += "    " + v + "\n"
-		}
-	}
-	return s
+	return s + oracleVerdict("  oracle  ", "PASS (0 violations)\n", r.Violations())
 }
 
 // scaleBench is one node count's prebuilt inputs, shared by its arms: the

@@ -183,11 +183,9 @@ func (r *ServeReport) Violations() []string {
 	return out
 }
 
-// Fingerprint renders the run-stable fields of every arm, one line per arm,
-// then the oracle verdict lines. Throughput, latency, retry, shed and
-// affliction counts are wall-clock measurements and are deliberately absent;
-// what remains — arm, chaos mode, probe and drain outcomes, violation count —
-// is fixed by the oracle whenever it passes.
+// Fingerprint renders the run-stable fields — per arm the chaos mode, probe
+// and drain outcomes and violation count, then the oracle verdict. The
+// wall-clock measurements (rates, latency, retries, sheds) are left out.
 func (r *ServeReport) Fingerprint() string {
 	var b strings.Builder
 	for _, a := range r.Arms {
@@ -222,20 +220,10 @@ func (r *ServeReport) Render() string {
 	return b.String()
 }
 
-// oracleLines renders the oracle verdict: PASS, or FAIL with every
-// violation.
+// oracleLines renders the oracle verdict.
 func (r *ServeReport) oracleLines() string {
-	violations := r.Violations()
-	if len(violations) == 0 {
-		return "  oracle    PASS (0 violations: every admitted request answered exactly once;\n" +
-			"            post-chaos probes 100% FORWARDS)\n"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "  oracle    FAIL (%d violations)\n", len(violations))
-	for _, v := range violations {
-		b.WriteString("    " + v + "\n")
-	}
-	return b.String()
+	return oracleVerdict("  oracle    ", "PASS (0 violations: every admitted request answered exactly once;\n"+
+		"            post-chaos probes 100% FORWARDS)\n", r.Violations())
 }
 
 // RunServe executes the campaign. The returned error covers plumbing only

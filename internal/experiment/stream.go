@@ -196,11 +196,10 @@ func (r *StreamReport) Speedup() float64 {
 	return stream / perhop
 }
 
-// Fingerprint renders the run-stable fields: one line per arm (arm, mode,
-// completed routes, violation count), then the replay and oracle lines.
-// Throughput, latency and the arms' cache hit/miss split are wall-clock or
-// interleaving dependent and are deliberately absent; the replay audit runs
-// on one connection, so its cached-decision count is stable.
+// Fingerprint renders the run-stable fields — per arm the mode, completed
+// routes and violation count, then the replay and oracle lines (the replay
+// audit runs on one connection). Rates, latency and the arms' cache split
+// depend on timing and interleaving and are left out.
 func (r *StreamReport) Fingerprint() string {
 	var b strings.Builder
 	for _, a := range r.Arms {
@@ -239,16 +238,8 @@ func (r *StreamReport) replayLines() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  replay    %d routes streamed cold+memoized and engine-replayed (%d cached decisions)\n",
 		r.ReplayRoutes, r.ReplayCacheHits)
-	violations := r.Violations()
-	if len(violations) == 0 {
-		b.WriteString("  oracle    PASS (0 violations: conservation exact; cache on/off walks identical\n")
-		b.WriteString("            within each mode; streamed replays match the engine exactly)\n")
-		return b.String()
-	}
-	fmt.Fprintf(&b, "  oracle    FAIL (%d violations)\n", len(violations))
-	for _, v := range violations {
-		b.WriteString("    " + v + "\n")
-	}
+	b.WriteString(oracleVerdict("  oracle    ", "PASS (0 violations: conservation exact; cache on/off walks identical\n"+
+		"            within each mode; streamed replays match the engine exactly)\n", r.Violations()))
 	return b.String()
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"gmp/internal/network"
 )
@@ -121,6 +122,16 @@ func Specs() []Spec {
 	return out
 }
 
+// Names returns every registered protocol name, in Specs order.
+func Names() []string {
+	specs := Specs()
+	out := make([]string, len(specs))
+	for i, sp := range specs {
+		out[i] = sp.Name
+	}
+	return out
+}
+
 // PaperSet returns the names of the paper's §5 protocol set in figure order.
 func PaperSet() []string {
 	var out []string
@@ -147,4 +158,16 @@ func Make(name string, ctx Ctx) (Protocol, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNeedNetwork, name)
 	}
 	return sp.New(ctx), nil
+}
+
+// MakeFold is Make for names typed by a user: the lookup ignores case, and
+// an unknown name's error lists every registered one. Command-line tools
+// resolve -protocol through it, so each accepts exactly what is registered.
+func MakeFold(name string, ctx Ctx) (Protocol, error) {
+	for _, sp := range Specs() {
+		if strings.EqualFold(sp.Name, name) {
+			return Make(sp.Name, ctx)
+		}
+	}
+	return nil, fmt.Errorf("%w %q (registered: %s)", ErrUnknownProtocol, name, strings.Join(Names(), ", "))
 }
