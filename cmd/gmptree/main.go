@@ -56,11 +56,11 @@ func run(args []string, out io.Writer) error {
 	}
 
 	opts := steiner.Options{RadioRange: *rr, RadioAware: !*basic}
-	tree := steiner.Build(src, dests, opts)
+	tree := new(steiner.Builder).Build(src, dests, opts)
 	if err := tree.Validate(); err != nil {
 		return err
 	}
-	mst := steiner.EuclideanMST(src, dests)
+	mst := new(steiner.Builder).EuclideanMST(src, dests)
 
 	fmt.Fprintf(out, "rrSTR tree (radio-aware=%v, rr=%g):\n%s", !*basic, *rr, tree)
 	fmt.Fprintf(out, "total length: %.2f m over %d edges (%d virtual vertices)\n",

@@ -127,7 +127,7 @@ func renderTree(srcFlag, destFlag string, rr float64) (string, error) {
 			maxY = p.Y
 		}
 	}
-	tree := steiner.Build(src, dests, steiner.Options{RadioRange: rr, RadioAware: true})
+	tree := new(steiner.Builder).Build(src, dests, steiner.Options{RadioRange: rr, RadioAware: true})
 	return viz.RenderTree(maxX+50, maxY+50, tree), nil
 }
 

@@ -44,23 +44,27 @@ func main() {
 	for _, d := range small {
 		pts = append(pts, d.Pos)
 	}
+	var b steiner.Builder
+	rrLen := b.Build(src, small, steiner.Options{}).TotalLength()
+	mstLen := b.EuclideanMST(src, small).TotalLength()
 	fmt.Printf("\n4-terminal reference length: %.1f m (rrSTR %.1f, MST %.1f)\n",
-		steiner.ReferenceLength(pts),
-		steiner.Build(src, small, steiner.Options{}).TotalLength(),
-		steiner.EuclideanMST(src, small).TotalLength())
+		steiner.ReferenceLength(pts), rrLen, mstLen)
 
 	// Print the radio-aware rrSTR tree for the paper-style instance.
-	tree := steiner.Build(src, figure, steiner.Options{RadioRange: 150, RadioAware: true})
+	tree := b.Build(src, figure, steiner.Options{RadioRange: 150, RadioAware: true})
 	fmt.Printf("\nradio-aware rrSTR tree:\n%s", tree)
 }
 
+// compare prints each builder's tree as soon as it is built: one Builder
+// serves all four, and each build reuses the previous tree's storage.
 func compare(src gmp.Point, dests []steiner.Dest) {
-	basic := steiner.Build(src, dests, steiner.Options{})
-	aware := steiner.Build(src, dests, steiner.Options{RadioRange: 150, RadioAware: true})
-	mst := steiner.EuclideanMST(src, dests)
-	smst := steiner.SteinerizedMST(src, dests)
-	fmt.Printf("  rrSTR (basic):      %7.1f m, %d pivots\n", basic.TotalLength(), len(basic.Pivots()))
-	fmt.Printf("  rrSTR (radio-aware):%7.1f m, %d pivots\n", aware.TotalLength(), len(aware.Pivots()))
-	fmt.Printf("  Euclidean MST:      %7.1f m, %d pivots\n", mst.TotalLength(), len(mst.Pivots()))
-	fmt.Printf("  Steinerized MST:    %7.1f m, %d pivots\n", smst.TotalLength(), len(smst.Pivots()))
+	var b steiner.Builder
+	t := b.Build(src, dests, steiner.Options{})
+	fmt.Printf("  rrSTR (basic):      %7.1f m, %d pivots\n", t.TotalLength(), len(t.Pivots()))
+	t = b.Build(src, dests, steiner.Options{RadioRange: 150, RadioAware: true})
+	fmt.Printf("  rrSTR (radio-aware):%7.1f m, %d pivots\n", t.TotalLength(), len(t.Pivots()))
+	t = b.EuclideanMST(src, dests)
+	fmt.Printf("  Euclidean MST:      %7.1f m, %d pivots\n", t.TotalLength(), len(t.Pivots()))
+	t = b.SteinerizedMST(src, dests)
+	fmt.Printf("  Steinerized MST:    %7.1f m, %d pivots\n", t.TotalLength(), len(t.Pivots()))
 }

@@ -125,7 +125,7 @@ func BuildSteinerTree(source Point, dests []Point, opts SteinerOptions) *Steiner
 	for i, p := range dests {
 		ds[i] = steiner.Dest{Pos: p, Label: i}
 	}
-	return steiner.Build(source, ds, opts)
+	return new(steiner.Builder).Build(source, ds, opts)
 }
 
 // ReductionRatio computes the paper's §3.1 pair-selection measure.

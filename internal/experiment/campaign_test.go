@@ -234,16 +234,16 @@ func TestWorkersDeterminism(t *testing.T) {
 }
 
 // TestScratchSafetyMultiWorker extends TestWorkersDeterminism to the shared
-// mutable state PR 5 introduced: the global sync.Pool of packets and the
-// per-node decision arenas (view.Scratch, steiner.Builder). Eight workers run
-// the two campaigns that hit every pool release point — a loss sweep with ARQ
-// (link-loss drops, retransmission exhaustion, full delivery) and a chaos
-// campaign (crashes, perimeter recovery, the whole drop-reason taxonomy) —
-// and the rendered output must still match a serial run. Determinism is
-// re-checked as a byproduct; the test earns its keep under `go test -race`,
-// where a scratch buffer shared across workers or a pooled packet freed while
-// a handler still holds it becomes a reported race instead of silent
-// corruption.
+// mutable state of the hot path: the global sync.Pool of packets and the
+// one pool of decision arenas (routing's arena, with its steiner.Builder).
+// Eight workers run the two campaigns that hit every pool release point — a
+// loss sweep with ARQ (link-loss drops, retransmission exhaustion, full
+// delivery) and a chaos campaign (crashes, perimeter recovery, the whole
+// drop-reason taxonomy) — and the rendered output must still match a serial
+// run. Determinism is re-checked as a byproduct; the test earns its keep
+// under `go test -race`, where an arena held by two decisions at once or a
+// pooled packet freed while a handler still holds it becomes a reported
+// race instead of silent corruption.
 func TestScratchSafetyMultiWorker(t *testing.T) {
 	drivers := []struct {
 		name string

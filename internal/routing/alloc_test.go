@@ -14,10 +14,10 @@ import (
 
 // TestGMPDecisionAllocBudget pins the steady-state allocation budget of one
 // bare GMP decision (group split + next-hop selection for 12 destinations).
-// The per-node arenas in view.Scratch keep the decision core down to the
-// forwards it must return fresh (purity: callers may retain them); the budget
-// is the ISSUE 5 acceptance ceiling, ≤ 30% of the PR 3 baseline of 230.
-// Regressions here mean a hot-path slice escaped its arena.
+// The pooled decision arena keeps the decision core down to the forwards it
+// must return fresh (purity: callers may retain them); the budget is 30% of
+// the 230 allocs/op the core made before it had arenas. Regressions here
+// mean a hot-path slice escaped its arena.
 func TestGMPDecisionAllocBudget(t *testing.T) {
 	testutil.SkipIfRace(t)
 	r := rand.New(rand.NewSource(1))

@@ -113,7 +113,7 @@ func BenchmarkSingleMCFRDecision(b *testing.B) {
 // BenchmarkSingleGMPDecision measures one bare GMP decision core — group
 // split plus next-hop selection for 12 destinations — invoked directly on a
 // NodeView with no engine around it. Steady-state allocations exercise the
-// per-node scratch caches (DistMemo). BENCH_PR5.json gates its allocs/op
+// pooled decision arena (tree builder, distance memo). BENCH_PR5.json gates its allocs/op
 // (the CI benchgate job), beside the full-hop SingleGMPHop baseline.
 func BenchmarkSingleGMPDecision(b *testing.B) {
 	b.ReportAllocs()

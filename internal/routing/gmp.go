@@ -90,7 +90,9 @@ func (g *GMP) steinerOpts(v view.NodeView) steiner.Options {
 // Start implements sim.Handler: the source runs the same procedure as every
 // forwarding node.
 func (g *GMP) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
-	return g.process(v, pkt)
+	a := arenas.Get().(*arena)
+	defer arenas.Put(a)
+	return g.process(a, v, pkt)
 }
 
 // Nack implements sim.NackHandler: when ARQ gives up on a next hop, the
@@ -102,53 +104,64 @@ func (g *GMP) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 // around a dead planar edge, but re-grouping can (and residual voids
 // re-enter perimeter mode from here anyway).
 func (g *GMP) Nack(v view.NodeView, to int, pkt *sim.Packet) []sim.Forward {
-	return g.process(v, pkt)
+	a := arenas.Get().(*arena)
+	defer arenas.Put(a)
+	return g.process(a, v, pkt)
 }
 
 // Decide implements sim.Handler.
 func (g *GMP) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
+	a := arenas.Get().(*arena)
+	defer arenas.Put(a)
+	return g.decide(a, v, pkt)
+}
+
+// decide is Decide on the working memory a. Each public entry point takes
+// one arena from the pool and returns it after the forward list is built,
+// so the void sets that alias a are consumed first.
+func (g *GMP) decide(a *arena, v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if pkt.Perimeter {
-		return g.recoverPerimeter(v, pkt)
+		return g.recoverPerimeter(a, v, pkt)
 	}
-	return g.process(v, pkt)
+	return g.process(a, v, pkt)
 }
 
 // process is Figure 7: group, forward, and push residual voids into
 // perimeter mode.
-func (g *GMP) process(v view.NodeView, pkt *sim.Packet) []sim.Forward {
-	fwds, voids := g.forwardGroups(v, pkt)
+func (g *GMP) process(a *arena, v view.NodeView, pkt *sim.Packet) []sim.Forward {
+	fwds, voids := g.forwardGroups(a, v, pkt)
 	if len(voids) == 0 {
 		return fwds
 	}
-	return append(fwds, g.enterPerimeter(v, pkt, voids)...)
+	return append(fwds, g.enterPerimeter(a, v, pkt, voids)...)
 }
 
 // forwardGroups builds the rrSTR tree, walks its pivots, emits one packet
 // copy per group that has a valid next hop, and splits groups per §4.1 when
 // none exists. It returns the destinations that remain void after maximal
-// splitting (each is a single non-virtual destination by then).
-func (g *GMP) forwardGroups(v view.NodeView, pkt *sim.Packet) (fwds []sim.Forward, voids []int) {
-	// Everything transient below lives in the node's scratch arena: the tree,
-	// the pivot worklist, the per-group label buffer, and the batches. All of
-	// it is clobbered by the next decision; only the CloneFor'd packets and
-	// the forward list itself are freshly allocated (the engine keeps them).
-	s := v.Scratch()
-	s.DestBuf = appendHeaderDests(s.DestBuf[:0], pkt)
+// splitting (each is a single non-virtual destination by then); the slice
+// is backed by a.
+func (g *GMP) forwardGroups(a *arena, v view.NodeView, pkt *sim.Packet) (fwds []sim.Forward, voids []int) {
+	// Everything transient below lives in the decision's arena: the tree,
+	// the pivot worklist, the per-group label buffer, and the batches. Only
+	// the CloneFor'd packets and the forward list itself are freshly
+	// allocated (the engine keeps them).
+	a.destBuf = appendHeaderDests(a.destBuf[:0], pkt)
 	var tree *steiner.Tree
 	switch {
 	case g.opts.SteinerizedGrouping:
-		tree = s.Steiner.SteinerizedMST(v.Pos(), s.DestBuf)
+		tree = a.builder.SteinerizedMST(v.Pos(), a.destBuf)
 	case g.opts.MSTGrouping:
-		tree = s.Steiner.EuclideanMST(v.Pos(), s.DestBuf)
+		tree = a.builder.EuclideanMST(v.Pos(), a.destBuf)
 	default:
-		tree = s.Steiner.Build(v.Pos(), s.DestBuf, g.steinerOpts(v))
+		tree = a.builder.Build(v.Pos(), a.destBuf, g.steinerOpts(v))
 	}
 	// FIFO worklist over a reused buffer; wi is the virtual "pop front".
-	wl := tree.AppendChildren(0, -1, s.Worklist[:0])
+	wl := tree.AppendChildren(0, -1, a.worklist[:0])
 
-	// The split loop evaluates heavily overlapping groups; the view's memo
+	// The split loop evaluates heavily overlapping groups; the memo
 	// computes each (point, destination) distance at most once per decision.
-	s.Memo.Begin(v.Degree()+1, pkt.Dests, pkt.Locs)
+	a.memo.begin(v.Degree()+1, pkt.Dests, pkt.Locs)
 
 	// Groups whose chosen next hop coincides are batched into a single
 	// transmission: the receiver re-partitions the union anyway, so two
@@ -156,15 +169,15 @@ func (g *GMP) forwardGroups(v view.NodeView, pkt *sim.Packet) (fwds []sim.Forwar
 	// batchNext doubles as the first-seen emission order (what the map+order
 	// pair used to encode); the handful of batches makes the linear scan
 	// cheaper than a map.
-	batchNext := s.BatchNext[:0]
-	batches := s.BatchLabels[:0]
-	voidBuf := s.VoidBuf[:0]
+	batchNext := a.batchNext[:0]
+	batches := a.batchLabels[:0]
+	voidBuf := a.voidBuf[:0]
 
 	for wi := 0; wi < len(wl); wi++ {
 		p := wl[wi]
 		for {
-			group := g.groupLabels(s, tree, p)
-			next := groupNextHop(v, tree.Vertex(p).Pos, group)
+			group := a.groupLabels(tree, p)
+			next := a.groupNextHop(v, tree.Vertex(p).Pos, group)
 			if next != -1 {
 				bi := -1
 				for i, n := range batchNext {
@@ -192,7 +205,7 @@ func (g *GMP) forwardGroups(v view.NodeView, pkt *sim.Packet) (fwds []sim.Forwar
 			tree.RemoveEdge(p, last)
 			tree.AddEdge(0, last)
 			wl = append(wl, last)
-			if kids := tree.AppendChildren(p, 0, s.GroupBuf[:0]); len(kids) == 1 && tree.Vertex(p).Kind == steiner.Virtual {
+			if kids := tree.AppendChildren(p, 0, a.groupBuf[:0]); len(kids) == 1 && tree.Vertex(p).Kind == steiner.Virtual {
 				// A virtual pivot with one child dissolves into that child.
 				only := kids[0]
 				tree.RemoveEdge(p, only)
@@ -208,13 +221,13 @@ func (g *GMP) forwardGroups(v view.NodeView, pkt *sim.Packet) (fwds []sim.Forwar
 		copyPkt.Perimeter = false
 		fwds = append(fwds, sim.Forward{To: next, Pkt: copyPkt})
 	}
-	s.Worklist = wl[:0]
-	s.BatchNext = batchNext[:0]
-	if len(batches) > len(s.BatchLabels) {
-		s.BatchLabels = batches
+	a.worklist = wl[:0]
+	a.batchNext = batchNext[:0]
+	if len(batches) > len(a.batchLabels) {
+		a.batchLabels = batches
 	}
 	sort.Ints(voidBuf)
-	s.VoidBuf = voidBuf
+	a.voidBuf = voidBuf
 	return fwds, voidBuf
 }
 
@@ -230,25 +243,24 @@ func growBatch(b [][]int) [][]int {
 }
 
 // groupLabels returns the sorted node IDs of the non-virtual destinations in
-// the subtree rooted at pivot p. The result lives in the scratch GroupBuf and
-// is valid until the next groupLabels or split-check call.
-func (g *GMP) groupLabels(s *view.Scratch, tree *steiner.Tree, p int) []int {
-	group := tree.AppendSubtreeLabels(p, 0, s.GroupBuf[:0])
+// the subtree rooted at pivot p. The result lives in a.groupBuf and is valid
+// until the next groupLabels or split-check call.
+func (a *arena) groupLabels(tree *steiner.Tree, p int) []int {
+	group := tree.AppendSubtreeLabels(p, 0, a.groupBuf[:0])
 	sort.Ints(group)
-	s.GroupBuf = group
+	a.groupBuf = group
 	return group
 }
 
 // enterPerimeter starts perimeter mode (§4.1): all void destinations travel
 // in a single copy aimed at their average location over the local planar
 // adjacency.
-func (g *GMP) enterPerimeter(v view.NodeView, pkt *sim.Packet, voids []int) []sim.Forward {
-	s := v.Scratch()
-	locs := s.LocBuf[:0]
+func (g *GMP) enterPerimeter(a *arena, v view.NodeView, pkt *sim.Packet, voids []int) []sim.Forward {
+	locs := a.locBuf[:0]
 	for _, d := range voids {
 		locs = append(locs, pkt.LocOf(d))
 	}
-	s.LocBuf = locs
+	a.locBuf = locs
 	avg := geom.Centroid(locs)
 	st := view.PerimeterEnter(v, avg)
 	return g.stepPerimeter(v, pkt, voids, st)
@@ -282,11 +294,11 @@ func (g *GMP) stepPerimeter(v view.NodeView, pkt *sim.Packet, voids []int, st pl
 // paper's §4.1 refers to ("similar to the one used by PBM [21]"). Without
 // it, the literal step-4 re-run lets a packet ping-pong forever between a
 // void node and the neighbor that first absorbed it.
-func (g *GMP) recoverPerimeter(v view.NodeView, pkt *sim.Packet) []sim.Forward {
+func (g *GMP) recoverPerimeter(a *arena, v view.NodeView, pkt *sim.Packet) []sim.Forward {
 	if v.Pos().Dist(pkt.Peri.Target) >= pkt.Peri.Entry.Dist(pkt.Peri.Target)-geom.Eps {
 		return g.stepPerimeter(v, pkt, pkt.Dests, pkt.Peri)
 	}
-	fwds, voids := g.forwardGroups(v, pkt)
+	fwds, voids := g.forwardGroups(a, v, pkt)
 	switch {
 	case len(voids) == 0:
 		// Fully recovered.
@@ -297,6 +309,6 @@ func (g *GMP) recoverPerimeter(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 		return append(fwds, g.stepPerimeter(v, pkt, voids, pkt.Peri)...)
 	default:
 		// Partial recovery: fresh perimeter round for the remainder.
-		return append(fwds, g.enterPerimeter(v, pkt, voids)...)
+		return append(fwds, g.enterPerimeter(a, v, pkt, voids)...)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"gmp/internal/sim"
-	"gmp/internal/steiner"
 	"gmp/internal/view"
 )
 
@@ -63,19 +62,29 @@ func (l *LGS) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
 // partition rebuilds the MST at a subtree root and launches one copy per
 // child group.
 func (l *LGS) partition(v view.NodeView, pkt *sim.Packet) []sim.Forward {
-	tree := steiner.EuclideanMST(v.Pos(), headerDests(pkt))
 	var fwds []sim.Forward
-	for _, p := range tree.Pivots() {
-		group := make([]int, 0, len(pkt.Dests))
-		for _, id := range tree.SubtreeTerminals(p, 0) {
-			group = append(group, tree.Vertex(id).Label)
-		}
-		sort.Ints(group)
+	mstGroups(v, pkt, func(anchor int, group []int) {
 		copyPkt := pkt.CloneFor(group)
-		copyPkt.Anchor = tree.Vertex(p).Label
+		copyPkt.Anchor = anchor
 		fwds = append(fwds, l.relay(v, copyPkt)...)
-	}
+	})
 	return fwds
+}
+
+// mstGroups is the LGS/MCFR subtree split: it builds the Euclidean MST over
+// v and the header's destinations on a pooled arena and calls emit once per
+// pivot, in pivot order, with the pivot's label as anchor and the pivot's
+// subtree destinations as a fresh sorted group.
+func mstGroups(v view.NodeView, pkt *sim.Packet, emit func(anchor int, group []int)) {
+	a := arenas.Get().(*arena)
+	defer arenas.Put(a)
+	a.destBuf = appendHeaderDests(a.destBuf[:0], pkt)
+	tree := a.builder.EuclideanMST(v.Pos(), a.destBuf)
+	for _, p := range tree.Pivots() {
+		group := tree.AppendSubtreeLabels(p, 0, make([]int, 0, len(pkt.Dests)))
+		sort.Ints(group)
+		emit(tree.Vertex(p).Label, group)
+	}
 }
 
 // relay takes one greedy step toward the packet's anchor root (whose

@@ -30,14 +30,9 @@ type Protocol interface {
 	Name() string
 }
 
-// headerDests converts the packet header into the steiner package's
-// destination records: the IDs with the locations the wire format carries.
-func headerDests(pkt *sim.Packet) []steiner.Dest {
-	return appendHeaderDests(make([]steiner.Dest, 0, len(pkt.Dests)), pkt)
-}
-
-// appendHeaderDests is the allocation-free variant of headerDests: it appends
-// the header's destination records to buf (pass buf[:0] of a scratch slice).
+// appendHeaderDests converts the packet header into the steiner package's
+// destination records — the IDs with the locations the wire format
+// carries — appending them to buf (pass buf[:0] of an arena slice).
 func appendHeaderDests(buf []steiner.Dest, pkt *sim.Packet) []steiner.Dest {
 	for i, id := range pkt.Dests {
 		buf = append(buf, steiner.Dest{Pos: pkt.Locs[i], Label: id})
@@ -71,18 +66,17 @@ func sumDistTo(p geom.Point, dests []int, loc map[int]geom.Point) float64 {
 // appear: after an ARQ give-up the engine hands out views that mask the
 // blacklisted link.
 //
-// Callers must have primed the view's distance memo for the current packet
-// (Scratch().Memo.Begin) — the Σ-distance terms are memoized there because
-// GMP's split loop re-evaluates heavily overlapping groups.
-func groupNextHop(v view.NodeView, pivot geom.Point, group []int) int {
-	s := v.Scratch()
-	s.ColBuf = s.Memo.Cols(group, s.ColBuf[:0])
-	cols := s.ColBuf
-	curTotal := s.Memo.SumRow(0, v.Pos(), cols)
+// Callers must have primed the arena's distance memo for the current packet
+// (a.memo.begin) — the Σ-distance terms are memoized there because GMP's
+// split loop re-evaluates heavily overlapping groups.
+func (a *arena) groupNextHop(v view.NodeView, pivot geom.Point, group []int) int {
+	a.colBuf = a.memo.cols(group, a.colBuf[:0])
+	cols := a.colBuf
+	curTotal := a.memo.sumRow(0, v.Pos(), cols)
 	best, bestD := -1, math.Inf(1)
 	for i, n := range v.Neighbors() {
 		np := v.NbrPos(n)
-		if s.Memo.SumRow(i+1, np, cols) >= curTotal {
+		if a.memo.sumRow(i+1, np, cols) >= curTotal {
 			continue
 		}
 		if d := np.Dist(pivot); d < bestD {

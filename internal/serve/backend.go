@@ -81,9 +81,10 @@ var (
 )
 
 // decider is one worker's private decision backend: its own view provider
-// (NodeView scratch is not safe for concurrent use), its own protocol
-// instances, and its own request scratch. The deployment and the memo
-// cache are shared and safe for concurrent use.
+// (its lazy per-node planar caches are not safe for concurrent use), its
+// own protocol instances, and its own request scratch. Decision working
+// memory comes from the routing package's arena pool, not from the decider.
+// The deployment and the memo cache are shared and safe for concurrent use.
 //
 // The scratch fields are reused across this worker's sequential requests.
 // That is safe under the same contract the whole stateless service stands

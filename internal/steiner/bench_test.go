@@ -44,7 +44,7 @@ func benchmarkBuild(b *testing.B, k int, opts Options) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(src, sets[i%len(sets)], opts)
+		new(Builder).Build(src, sets[i%len(sets)], opts)
 	}
 }
 
@@ -65,7 +65,7 @@ func BenchmarkEuclideanMST(b *testing.B) {
 	dests := randDests(r, 25, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EuclideanMST(src, dests)
+		new(Builder).EuclideanMST(src, dests)
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 // The zero value is ready to use. Each build method resets and returns the
 // builder's own tree: the result is valid only until the next call on the
 // same Builder, and callers that need to retain a tree must copy it. Builders
-// are not safe for concurrent use — hang one off each node's decision
-// scratch (view.Scratch), never share one across goroutines.
+// are not safe for concurrent use: a forwarding decision takes one inside
+// its pooled decision arena (internal/routing), and tools that need several
+// live trees at once hold one Builder each.
 type Builder struct {
 	tree      Tree
 	q         pairQueue
@@ -59,9 +60,14 @@ func growInts(s []int, n int) []int {
 	return s[:n]
 }
 
-// Build is the arena-backed rrSTR construction; see the package-level Build
-// for the algorithm contract. The returned tree is owned by the builder and
-// valid until the next call on it.
+// Build runs the rrSTR heuristic (paper Figure 3): it constructs a virtual
+// Euclidean Steiner tree rooted at source and spanning all dests. The tree
+// may contain Virtual vertices at exact three-point Steiner locations.
+//
+// The returned tree always satisfies Validate: it is acyclic and every
+// terminal is connected to the source. Build never fails; degenerate inputs
+// (no destinations, collocated points) produce the obvious trees. The tree
+// is owned by the builder and valid until the next call on it.
 func (b *Builder) Build(source geom.Point, dests []Dest, opts Options) *Tree {
 	tree := &b.tree
 	tree.Reset(source)
@@ -230,9 +236,14 @@ func (b *Builder) applyRadioCases(it pairItem, opts Options) bool {
 	return false
 }
 
-// EuclideanMST is the arena-backed Prim construction; see the package-level
-// EuclideanMST for the algorithm contract. The returned tree is owned by the
-// builder and valid until the next call on it.
+// EuclideanMST builds the minimum spanning tree of {source} ∪ dests under
+// Euclidean distance, using Prim's algorithm seeded at the source. This is
+// the tree-construction step of the LGS baseline (Chen & Nahrstedt [5]): the
+// tree uses only the actual destination locations — no virtual points.
+//
+// Edge insertion order is Prim's growth order, which gives LastChild a
+// deterministic meaning for trees produced here as well. The tree is owned
+// by the builder and valid until the next call on it.
 func (b *Builder) EuclideanMST(source geom.Point, dests []Dest) *Tree {
 	tree := &b.tree
 	tree.Reset(source)
@@ -282,9 +293,17 @@ func (b *Builder) EuclideanMST(source geom.Point, dests []Dest) *Tree {
 	return tree
 }
 
-// SteinerizedMST is the arena-backed corner-Steinerization; see the package-
-// level SteinerizedMST for the algorithm contract. The returned tree is owned
-// by the builder and valid until the next call on it.
+// SteinerizedMST builds the Euclidean MST over {source} ∪ dests and then
+// improves it by greedy corner Steinerization: wherever two tree edges meet
+// at a vertex with an angle below 120°, the corner is replaced by the exact
+// three-point Steiner (Fermat) junction, which strictly shortens the tree.
+// The scan repeats until no corner yields a gain.
+//
+// This is the classical MST-improvement family the paper cites as prior
+// Steiner heuristics ([23, 26, 33]); the library ships it as the A-6
+// ablation's tree builder, sandwiching rrSTR between the plain MST and a
+// polished local optimum. The tree is owned by the builder and valid until
+// the next call on it.
 func (b *Builder) SteinerizedMST(source geom.Point, dests []Dest) *Tree {
 	tree := b.EuclideanMST(source, dests)
 	// Each insertion adds one virtual vertex and strictly reduces total

@@ -18,7 +18,7 @@ func TestRadioAwareBeneficialVirtuals(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		src := geom.Pt(r.Float64()*1000, r.Float64()*1000)
 		dests := randDests(r, 2+r.Intn(12), 1000)
-		tree := Build(src, dests, Options{RadioRange: rr, RadioAware: true})
+		tree := new(Builder).Build(src, dests, Options{RadioRange: rr, RadioAware: true})
 		for _, p := range tree.Pivots() {
 			v := tree.Vertex(p)
 			if v.Kind != Virtual {
@@ -65,7 +65,7 @@ func TestRadioAwareNoPairBothInRangeJoined(t *testing.T) {
 				Label: len(dests),
 			})
 		}
-		tree := Build(src, dests, Options{RadioRange: rr, RadioAware: true})
+		tree := new(Builder).Build(src, dests, Options{RadioRange: rr, RadioAware: true})
 		for _, v := range tree.Vertices() {
 			if v.Kind != Virtual {
 				continue
@@ -99,7 +99,7 @@ func TestProseVariantAlsoValid(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		src := geom.Pt(r.Float64()*1000, r.Float64()*1000)
 		dests := randDests(r, 1+r.Intn(15), 1000)
-		tree := Build(src, dests, Options{RadioRange: 150, RadioAware: true, OneInRangeProse: true})
+		tree := new(Builder).Build(src, dests, Options{RadioRange: 150, RadioAware: true, OneInRangeProse: true})
 		if err := tree.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -6,19 +6,6 @@ import (
 	"gmp/internal/geom"
 )
 
-// EuclideanMST builds the minimum spanning tree of {source} ∪ dests under
-// Euclidean distance, using Prim's algorithm seeded at the source. This is
-// the tree-construction step of the LGS baseline (Chen & Nahrstedt [5]): the
-// tree uses only the actual destination locations — no virtual points.
-//
-// Edge insertion order is Prim's growth order, which gives LastChild a
-// deterministic meaning for trees produced here as well.
-// EuclideanMST allocates a fresh arena per call; hot paths should hold a
-// Builder and call its EuclideanMST instead.
-func EuclideanMST(source geom.Point, dests []Dest) *Tree {
-	return new(Builder).EuclideanMST(source, dests)
-}
-
 // MSTLength returns the total Euclidean length of the minimum spanning tree
 // over pts. It is the classical 2-approximation reference used in tests to
 // sanity-check rrSTR tree lengths.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestEuclideanMSTEmpty(t *testing.T) {
-	tr := EuclideanMST(geom.Pt(0, 0), nil)
+	tr := new(Builder).EuclideanMST(geom.Pt(0, 0), nil)
 	if tr.NumVertices() != 1 || tr.NumEdges() != 0 {
 		t.Fatal("empty MST should be just the source")
 	}
@@ -22,7 +22,7 @@ func TestEuclideanMSTLine(t *testing.T) {
 		{Pos: geom.Pt(10, 0), Label: 1},
 		{Pos: geom.Pt(20, 0), Label: 2},
 	}
-	tr := EuclideanMST(src, dests)
+	tr := new(Builder).EuclideanMST(src, dests)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestEuclideanMSTLine(t *testing.T) {
 func TestEuclideanMSTNoVirtuals(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	dests := randDests(r, 15, 1000)
-	tr := EuclideanMST(geom.Pt(500, 500), dests)
+	tr := new(Builder).EuclideanMST(geom.Pt(500, 500), dests)
 	for _, v := range tr.Vertices() {
 		if v.Kind == Virtual {
 			t.Fatal("MST must not contain virtual vertices")
@@ -58,7 +58,7 @@ func TestEuclideanMSTMatchesMSTLength(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		src := geom.Pt(r.Float64()*1000, r.Float64()*1000)
 		dests := randDests(r, 2+r.Intn(20), 1000)
-		tr := EuclideanMST(src, dests)
+		tr := new(Builder).EuclideanMST(src, dests)
 		pts := []geom.Point{src}
 		for _, d := range dests {
 			pts = append(pts, d.Pos)

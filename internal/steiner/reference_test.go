@@ -88,7 +88,7 @@ func TestRRSTRQualityAgainstReference(t *testing.T) {
 		dests := randDests(r, 3, 1000)
 		pts := []geom.Point{src, dests[0].Pos, dests[1].Pos, dests[2].Pos}
 		ref := ReferenceLength(pts)
-		rr := Build(src, dests, Options{}).TotalLength()
+		rr := new(Builder).Build(src, dests, Options{}).TotalLength()
 		if ref > rr+1e-6 {
 			t.Fatalf("reference %v above rrSTR %v", ref, rr)
 		}

@@ -107,18 +107,3 @@ func (q pairQueue) down(i int) {
 		i = j
 	}
 }
-
-// Build runs the rrSTR heuristic (paper Figure 3): it constructs a virtual
-// Euclidean Steiner tree rooted at source and spanning all dests. The tree
-// may contain Virtual vertices at exact three-point Steiner locations.
-//
-// The returned tree always satisfies Validate: it is acyclic and every
-// terminal is connected to the source. Build never fails; degenerate inputs
-// (no destinations, collocated points) produce the obvious trees.
-//
-// Build allocates a fresh arena per call. A forwarding hot path that builds
-// one tree per decision should hold a Builder instead and call its Build,
-// which reuses all internal storage.
-func Build(source geom.Point, dests []Dest, opts Options) *Tree {
-	return new(Builder).Build(source, dests, opts)
-}

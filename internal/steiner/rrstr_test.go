@@ -21,11 +21,11 @@ func awareOpts() Options { return Options{RadioRange: 150, RadioAware: true} }
 
 func TestBuildEmptyAndSingle(t *testing.T) {
 	src := geom.Pt(0, 0)
-	tr := Build(src, nil, basicOpts())
+	tr := new(Builder).Build(src, nil, basicOpts())
 	if tr.NumVertices() != 1 || tr.NumEdges() != 0 {
 		t.Fatalf("empty build: %d verts %d edges", tr.NumVertices(), tr.NumEdges())
 	}
-	tr = Build(src, []Dest{{Pos: geom.Pt(100, 0), Label: 9}}, basicOpts())
+	tr = new(Builder).Build(src, []Dest{{Pos: geom.Pt(100, 0), Label: 9}}, basicOpts())
 	if tr.NumEdges() != 1 {
 		t.Fatalf("single dest: %d edges", tr.NumEdges())
 	}
@@ -46,7 +46,7 @@ func TestBuildTwoFarCloseDestsShareVirtual(t *testing.T) {
 		{Pos: geom.Pt(900, 480), Label: 0},
 		{Pos: geom.Pt(900, 520), Label: 1},
 	}
-	tr := Build(src, dests, basicOpts())
+	tr := new(Builder).Build(src, dests, basicOpts())
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestBuildPerpendicularDestsNoSharing(t *testing.T) {
 		{Pos: geom.Pt(500, 0), Label: 0},
 		{Pos: geom.Pt(-500, 100), Label: 1}, // ~170 degrees apart
 	}
-	tr := Build(src, dests, basicOpts())
+	tr := new(Builder).Build(src, dests, basicOpts())
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestBuildSpansAllDestinationsProperty(t *testing.T) {
 		src := geom.Pt(r.Float64()*1000, r.Float64()*1000)
 		dests := randDests(r, n, 1000)
 		for _, opts := range []Options{basicOpts(), awareOpts()} {
-			tr := Build(src, dests, opts)
+			tr := new(Builder).Build(src, dests, opts)
 			if err := tr.Validate(); err != nil {
 				t.Fatalf("trial %d opts %+v: %v", trial, opts, err)
 			}
@@ -125,7 +125,7 @@ func TestBuildBasicNeverWorseThanStar(t *testing.T) {
 		n := 2 + r.Intn(20)
 		src := geom.Pt(r.Float64()*1000, r.Float64()*1000)
 		dests := randDests(r, n, 1000)
-		tr := Build(src, dests, basicOpts())
+		tr := new(Builder).Build(src, dests, basicOpts())
 		var star float64
 		for _, d := range dests {
 			star += src.Dist(d.Pos)
@@ -146,7 +146,7 @@ func TestBuildBeatsMSTOnForkConfigurations(t *testing.T) {
 		u := geom.Pt(800, 0).Rotate(halfAngle)
 		v := geom.Pt(800, 0).Rotate(-halfAngle)
 		dests := []Dest{{Pos: u, Label: 0}, {Pos: v, Label: 1}}
-		rrLen := Build(src, dests, basicOpts()).TotalLength()
+		rrLen := new(Builder).Build(src, dests, basicOpts()).TotalLength()
 		mstLen := MSTLength([]geom.Point{src, u, v})
 		if rrLen >= mstLen-1e-6 {
 			t.Fatalf("halfAngle %v: rrSTR %v not shorter than MST %v", halfAngle, rrLen, mstLen)
@@ -165,7 +165,7 @@ func TestBuildBasicWithinMSTBand(t *testing.T) {
 		n := 3 + r.Intn(15)
 		src := geom.Pt(r.Float64()*1000, r.Float64()*1000)
 		dests := randDests(r, n, 1000)
-		rrTotal += Build(src, dests, basicOpts()).TotalLength()
+		rrTotal += new(Builder).Build(src, dests, basicOpts()).TotalLength()
 		pts := make([]geom.Point, 0, n+1)
 		pts = append(pts, src)
 		for _, d := range dests {
@@ -187,7 +187,7 @@ func TestBuildRadioAwareSuppressesNearbyVirtuals(t *testing.T) {
 		{Pos: geom.Pt(100, 10), Label: 0},
 		{Pos: geom.Pt(100, -10), Label: 1},
 	}
-	tr := Build(src, dests, awareOpts())
+	tr := new(Builder).Build(src, dests, awareOpts())
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestBuildRadioAwareKeepsBeneficialVirtuals(t *testing.T) {
 		{Pos: geom.Pt(800, 450), Label: 0},
 		{Pos: geom.Pt(800, 550), Label: 1},
 	}
-	tr := Build(src, dests, awareOpts())
+	tr := new(Builder).Build(src, dests, awareOpts())
 	virtuals := 0
 	for _, v := range tr.Vertices() {
 		if v.Kind == Virtual {
@@ -228,7 +228,7 @@ func TestBuildRadioAwareOneInRange(t *testing.T) {
 	src := geom.Pt(0, 0)
 	u := Dest{Pos: geom.Pt(140, 0), Label: 0}
 	v := Dest{Pos: geom.Pt(600, 30), Label: 1}
-	tr := Build(src, []Dest{u, v}, awareOpts())
+	tr := new(Builder).Build(src, []Dest{u, v}, awareOpts())
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestBuildProseVariantAttachesDirectly(t *testing.T) {
 	for _, prose := range []bool{false, true} {
 		opts := awareOpts()
 		opts.OneInRangeProse = prose
-		tr := Build(src, dests, opts)
+		tr := new(Builder).Build(src, dests, opts)
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("prose=%v: %v", prose, err)
 		}
@@ -274,8 +274,8 @@ func TestBuildDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	src := geom.Pt(500, 500)
 	dests := randDests(r, 12, 1000)
-	a := Build(src, dests, awareOpts())
-	b := Build(src, dests, awareOpts())
+	a := new(Builder).Build(src, dests, awareOpts())
+	b := new(Builder).Build(src, dests, awareOpts())
 	if a.String() != b.String() {
 		t.Fatal("Build is not deterministic for identical input")
 	}
@@ -289,7 +289,7 @@ func TestBuildCoincidentDestinations(t *testing.T) {
 		{Pos: geom.Pt(0, 0), Label: 2},     // collocated with source
 	}
 	for _, opts := range []Options{basicOpts(), awareOpts()} {
-		tr := Build(src, dests, opts)
+		tr := new(Builder).Build(src, dests, opts)
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("opts %+v: %v", opts, err)
 		}
@@ -306,7 +306,7 @@ func TestBuildManyDestinationsStress(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	src := geom.Pt(500, 500)
 	dests := randDests(r, 200, 1000)
-	tr := Build(src, dests, awareOpts())
+	tr := new(Builder).Build(src, dests, awareOpts())
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -6,22 +6,6 @@ import "gmp/internal/geom"
 // it stops the refinement loop once gains fall into numerical noise.
 const steinerizeMinGain = 1e-9
 
-// SteinerizedMST builds the Euclidean MST over {source} ∪ dests and then
-// improves it by greedy corner Steinerization: wherever two tree edges meet
-// at a vertex with an angle below 120°, the corner is replaced by the exact
-// three-point Steiner (Fermat) junction, which strictly shortens the tree.
-// The scan repeats until no corner yields a gain.
-//
-// This is the classical MST-improvement family the paper cites as prior
-// Steiner heuristics ([23, 26, 33]); the library ships it as the A-6
-// ablation's tree builder, sandwiching rrSTR between the plain MST and a
-// polished local optimum.
-// SteinerizedMST allocates a fresh arena per call; hot paths should hold a
-// Builder and call its SteinerizedMST instead.
-func SteinerizedMST(source geom.Point, dests []Dest) *Tree {
-	return new(Builder).SteinerizedMST(source, dests)
-}
-
 // steinerizeOnce finds the corner with the largest insertion gain and
 // replaces it; it reports whether an insertion happened.
 func steinerizeOnce(tree *Tree) bool {

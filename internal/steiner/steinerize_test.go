@@ -13,8 +13,8 @@ func TestSteinerizedMSTNeverLongerThanMST(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		src := geom.Pt(r.Float64()*1000, r.Float64()*1000)
 		dests := randDests(r, 2+r.Intn(20), 1000)
-		mst := EuclideanMST(src, dests).TotalLength()
-		st := SteinerizedMST(src, dests)
+		mst := new(Builder).EuclideanMST(src, dests).TotalLength()
+		st := new(Builder).SteinerizedMST(src, dests)
 		if err := st.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -34,7 +34,7 @@ func TestSteinerizedMSTUnitSquareNearOptimal(t *testing.T) {
 		{Pos: geom.Pt(1, 1), Label: 1},
 		{Pos: geom.Pt(0, 1), Label: 2},
 	}
-	got := SteinerizedMST(src, dests).TotalLength()
+	got := new(Builder).SteinerizedMST(src, dests).TotalLength()
 	want := 1 + math.Sqrt(3)
 	if got > want*1.03 {
 		t.Fatalf("unit square steinerized = %v, want ≤ %v", got, want*1.03)
@@ -52,7 +52,7 @@ func TestSteinerizedMSTEquilateralExact(t *testing.T) {
 		{Pos: geom.Pt(1, 0), Label: 0},
 		{Pos: geom.Pt(0.5, math.Sqrt(3)/2), Label: 1},
 	}
-	got := SteinerizedMST(src, dests).TotalLength()
+	got := new(Builder).SteinerizedMST(src, dests).TotalLength()
 	want := math.Sqrt(3)
 	if math.Abs(got-want) > 1e-6 {
 		t.Fatalf("equilateral steinerized = %v, want %v", got, want)
@@ -62,7 +62,7 @@ func TestSteinerizedMSTEquilateralExact(t *testing.T) {
 func TestSteinerizedMSTPreservesTerminals(t *testing.T) {
 	r := rand.New(rand.NewSource(89))
 	dests := randDests(r, 12, 1000)
-	tree := SteinerizedMST(geom.Pt(500, 500), dests)
+	tree := new(Builder).SteinerizedMST(geom.Pt(500, 500), dests)
 	if got := len(tree.TerminalIDs()); got != 12 {
 		t.Fatalf("terminals = %d", got)
 	}
@@ -82,7 +82,7 @@ func TestSteinerizedMSTCollinearNoVirtuals(t *testing.T) {
 		{Pos: geom.Pt(200, 0), Label: 1},
 		{Pos: geom.Pt(300, 0), Label: 2},
 	}
-	tree := SteinerizedMST(src, dests)
+	tree := new(Builder).SteinerizedMST(src, dests)
 	for _, v := range tree.Vertices() {
 		if v.Kind == Virtual {
 			t.Fatalf("collinear chain gained a virtual vertex at %v", v.Pos)
@@ -102,7 +102,7 @@ func TestSteinerizedVsReferenceAt4(t *testing.T) {
 		src := geom.Pt(r.Float64()*1000, r.Float64()*1000)
 		dests := randDests(r, 3, 1000)
 		pts := []geom.Point{src, dests[0].Pos, dests[1].Pos, dests[2].Pos}
-		stSum += SteinerizedMST(src, dests).TotalLength()
+		stSum += new(Builder).SteinerizedMST(src, dests).TotalLength()
 		refSum += ReferenceLength(pts)
 	}
 	if stSum > refSum*1.05 {

@@ -79,17 +79,16 @@ type liveView struct {
 
 	planarOnce bool
 	planarAdj  []int
+	bearings   []float64 // parallel to planarAdj
 	altOnce    bool
 	altAdj     []int
-	scratch    Scratch
 }
 
-func (v *liveView) Self() int         { return v.id }
-func (v *liveView) Pos() geom.Point   { return v.pos }
-func (v *liveView) Neighbors() []int  { return v.ids }
-func (v *liveView) Degree() int       { return len(v.ids) }
-func (v *liveView) Range() float64    { return v.cfg.RadioRange }
-func (v *liveView) Scratch() *Scratch { return &v.scratch }
+func (v *liveView) Self() int        { return v.id }
+func (v *liveView) Pos() geom.Point  { return v.pos }
+func (v *liveView) Neighbors() []int { return v.ids }
+func (v *liveView) Degree() int      { return len(v.ids) }
+func (v *liveView) Range() float64   { return v.cfg.RadioRange }
 
 // NbrPos looks the ID up in the table (binary search — the table is sorted).
 // Self's own position is always known; IDs absent from the table are outside
@@ -133,11 +132,17 @@ func (v *liveView) PlanarSelfPos() geom.Point { return v.pos }
 func (v *liveView) PlanarPos(id int) geom.Point { return v.NbrPos(id) }
 
 // PlanarNeighbors runs the local GG/RNG rule over the neighbor table on
-// first use and caches the adjacency.
+// first use and caches the adjacency with its bearings.
 func (v *liveView) PlanarNeighbors() []int {
 	if !v.planarOnce {
 		v.planarAdj = planar.LocalAdjacency(v.pos, v.ids, v.NbrPos, v.cfg.Planarizer)
+		v.bearings = bearingsTo(v.pos, v.planarAdj, v.NbrPos)
 		v.planarOnce = true
 	}
 	return v.planarAdj
+}
+
+func (v *liveView) PlanarBearings() []float64 {
+	v.PlanarNeighbors()
+	return v.bearings
 }

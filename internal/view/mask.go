@@ -25,9 +25,9 @@ type Masked struct {
 	nbrs       []int
 	planarOnce bool
 	planarAdj  []int
+	bearings   []float64 // parallel to the filtered planarAdj
 	altOnce    bool
 	altAdj     []int
-	scratch    Scratch
 }
 
 // NewMasked wraps base with the banned exclusion set. The map is referenced,
@@ -40,10 +40,6 @@ func NewMasked(base NodeView, banned map[int]bool) *Masked {
 func (m *Masked) Self() int       { return m.base.Self() }
 func (m *Masked) Pos() geom.Point { return m.base.Pos() }
 func (m *Masked) Range() float64  { return m.base.Range() }
-
-// Scratch returns the mask's own scratch: cached bearings must be parallel
-// to the *filtered* planar adjacency, so the base view's caches do not apply.
-func (m *Masked) Scratch() *Scratch { return &m.scratch }
 
 func (m *Masked) NbrPos(id int) geom.Point           { return m.base.NbrPos(id) }
 func (m *Masked) NbrPosOK(id int) (geom.Point, bool) { return m.base.NbrPosOK(id) }
@@ -77,9 +73,17 @@ func (m *Masked) Degree() int { return len(m.Neighbors()) }
 func (m *Masked) PlanarNeighbors() []int {
 	if !m.planarOnce {
 		m.planarAdj = m.filter(m.base.PlanarNeighbors())
+		m.bearings = bearingsTo(m.base.PlanarSelfPos(), m.planarAdj, m.base.PlanarPos)
 		m.planarOnce = true
 	}
 	return m.planarAdj
+}
+
+// PlanarBearings is computed from the filtered adjacency: the base view's
+// bearings are parallel to the unfiltered one.
+func (m *Masked) PlanarBearings() []float64 {
+	m.PlanarNeighbors()
+	return m.bearings
 }
 
 // PerimeterWatchdog implements WatchdogCarrier by delegation; a base view

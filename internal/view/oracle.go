@@ -68,17 +68,16 @@ func (o *Oracle) altNeighbors(id int) []int {
 
 // oracleView is one node's ideal view.
 type oracleView struct {
-	o       *Oracle
-	id      int
-	scratch Scratch
+	o        *Oracle
+	id       int
+	bearings []float64 // parallel to PlanarNeighbors; nil = not yet computed
 }
 
-func (v *oracleView) Self() int         { return v.id }
-func (v *oracleView) Pos() geom.Point   { return v.o.nw.Pos(v.id) }
-func (v *oracleView) Neighbors() []int  { return v.o.nw.Neighbors(v.id) }
-func (v *oracleView) Degree() int       { return v.o.nw.Degree(v.id) }
-func (v *oracleView) Range() float64    { return v.o.nw.Range() }
-func (v *oracleView) Scratch() *Scratch { return &v.scratch }
+func (v *oracleView) Self() int        { return v.id }
+func (v *oracleView) Pos() geom.Point  { return v.o.nw.Pos(v.id) }
+func (v *oracleView) Neighbors() []int { return v.o.nw.Neighbors(v.id) }
+func (v *oracleView) Degree() int      { return v.o.nw.Degree(v.id) }
+func (v *oracleView) Range() float64   { return v.o.nw.Range() }
 
 func (v *oracleView) NbrPos(id int) geom.Point { return v.o.nw.Pos(id) }
 
@@ -109,6 +108,13 @@ func (v *oracleView) PlanarNeighbors() []int {
 		return nil
 	}
 	return v.o.pg.Neighbors(v.id)
+}
+
+func (v *oracleView) PlanarBearings() []float64 {
+	if v.bearings == nil && v.o.pg != nil {
+		v.bearings = bearingsTo(v.PlanarSelfPos(), v.PlanarNeighbors(), v.PlanarPos)
+	}
+	return v.bearings
 }
 
 func (v *oracleView) PlanarPos(id int) geom.Point {

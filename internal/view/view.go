@@ -66,19 +66,19 @@ type NodeView interface {
 	// PlanarPos returns the planar-substrate position of a planar neighbor
 	// (or of Self).
 	PlanarPos(id int) geom.Point
-
-	// Scratch returns this node's reusable decision caches. Scratch state
-	// never changes decision outcomes — it only memoizes pure computations —
-	// so decisions stay referentially transparent.
-	Scratch() *Scratch
+	// PlanarBearings returns the bearings from PlanarSelfPos to each planar
+	// neighbor, parallel to PlanarNeighbors(): the angles the right-hand
+	// rule consumes. It is a per-node memo of the substrate, computed with
+	// the adjacency. The slice is shared; callers must not mutate it.
+	PlanarBearings() []float64
 }
 
-// Provider hands out per-node views. An engine holds one Provider per run
-// configuration; views from one provider share immutable substrate data but
-// each node has private scratch space.
-//
-// Providers are not safe for concurrent engines: parallel campaign cells
-// must construct one provider each (scratch caches are per provider).
+// Provider hands out per-node views. Views hold no decision state — a
+// decision's working memory belongs to the decision, not to the node — but
+// they lazily cache per-node planar adjacencies and bearings on first use.
+// Those caches are the only reason a provider is owned by one engine or
+// one decider: parallel campaign cells and service workers each construct
+// their own.
 type Provider interface {
 	// At returns node id's view. The returned view is valid until the next
 	// topology change (providers over immutable networks never invalidate).
@@ -116,4 +116,13 @@ type AltPlanarView interface {
 	// AltPlanarNeighbors returns the alternate-rule planar adjacency in CCW
 	// bearing order. The slice is shared; callers must not mutate it.
 	AltPlanarNeighbors() []int
+}
+
+// bearingsTo returns the bearings from self to each of nbrs, in order.
+func bearingsTo(self geom.Point, nbrs []int, pos func(int) geom.Point) []float64 {
+	b := make([]float64, len(nbrs))
+	for i, n := range nbrs {
+		b[i] = geom.Bearing(self, pos(n))
+	}
+	return b
 }

@@ -123,6 +123,41 @@ func TestMaskedFiltersAllAdjacencies(t *testing.T) {
 	}
 }
 
+// TestMaskedPlanarBearingsParallel: a Masked view's bearings come from its
+// filtered planar adjacency, not the base view's — entry i is the bearing to
+// PlanarNeighbors()[i] — for both providers, with a planar neighbor banned.
+func TestMaskedPlanarBearingsParallel(t *testing.T) {
+	nw := lineNetwork(t, 5)
+	tables := make([][]Neighbor, nw.Len())
+	selfPos := make([]geom.Point, nw.Len())
+	for i := range tables {
+		selfPos[i] = nw.Pos(i)
+		for _, n := range nw.Neighbors(i) {
+			tables[i] = append(tables[i], Neighbor{ID: n, Pos: nw.Pos(n)})
+		}
+	}
+	providers := map[string]Provider{
+		"oracle": NewOracle(nw, planar.Planarize(nw, planar.Gabriel)),
+		"live":   NewLive(selfPos, tables, LiveConfig{RadioRange: nw.Range(), Planarizer: planar.Gabriel}),
+	}
+	for name, p := range providers {
+		base := p.At(2)
+		if got := len(base.PlanarBearings()); got != 2 || len(base.PlanarNeighbors()) != 2 {
+			t.Fatalf("%s: node 2 has %d planar bearings, want 2 (chain neighbors)", name, got)
+		}
+		m := NewMasked(base, map[int]bool{base.PlanarNeighbors()[0]: true})
+		nbrs, bearings := m.PlanarNeighbors(), m.PlanarBearings()
+		if len(nbrs) != 1 || len(bearings) != len(nbrs) {
+			t.Fatalf("%s: masked adjacency %v with %d bearings, want one of each", name, nbrs, len(bearings))
+		}
+		for i, n := range nbrs {
+			if want := geom.Bearing(m.PlanarSelfPos(), m.PlanarPos(n)); bearings[i] != want {
+				t.Fatalf("%s: masked bearing %d = %v, want %v toward %d", name, i, bearings[i], want, n)
+			}
+		}
+	}
+}
+
 // TestWatchdogLimitsArmed: the zero value is disarmed; either bound arms it.
 func TestWatchdogLimitsArmed(t *testing.T) {
 	if (WatchdogLimits{}).Armed() {

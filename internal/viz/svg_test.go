@@ -75,7 +75,7 @@ func TestDrawNetworkLayers(t *testing.T) {
 }
 
 func TestDrawTreeKindsColored(t *testing.T) {
-	tr := steiner.Build(geom.Pt(0, 0), []steiner.Dest{
+	tr := new(steiner.Builder).Build(geom.Pt(0, 0), []steiner.Dest{
 		{Pos: geom.Pt(400, 180), Label: 0},
 		{Pos: geom.Pt(400, 220), Label: 1},
 	}, steiner.Options{})
