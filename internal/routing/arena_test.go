@@ -35,59 +35,7 @@ type arenaDecision struct {
 // Decide from four goroutines at once, so the pool itself is shared.
 func TestArenaReuseMatchesFreshArena(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	// A sparse field (100 m range, mean degree ~12) leaves voids, so walks
-	// enter perimeter mode.
-	nw, err := network.New(network.DeployUniform(400, 1000, 1000, r), 1000, 1000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	views := view.NewOracle(nw, planar.Planarize(nw, planar.Gabriel))
-	variants := []*GMP{
-		NewGMP(),
-		NewGMPnr(),
-		NewGMPWithOptions(GMPOptions{MSTGrouping: true}, "GMPmst"),
-		NewGMPWithOptions(GMPOptions{SteinerizedGrouping: true}, "GMPsmst"),
-	}
-	const perTask = 120 // decisions recorded per task
-
-	var stream []arenaDecision
-	for _, g := range variants {
-		for _, k := range []int{1, 2, 5, 12, 25, 60, 120} {
-			src, dests := pickTask(r, nw.Len(), k)
-			locs := make([]geom.Point, len(dests))
-			for i, d := range dests {
-				locs[i] = nw.Pos(d)
-			}
-			frontier := []arenaDecision{{g, views.At(src), &sim.Packet{Dests: dests, Locs: locs, Anchor: -1}}}
-			recorded := 0
-			for len(frontier) > 0 && recorded < perTask {
-				var next []arenaDecision
-				for _, d := range frontier {
-					if recorded == perTask {
-						break
-					}
-					stream = append(stream, d)
-					recorded++
-					for _, f := range g.decide(new(arena), d.v, d.pkt) {
-						if f.To < 0 {
-							continue
-						}
-						pkt := f.Pkt.Clone()
-						pkt.Hops++
-						if pkt.Strip(f.To); len(pkt.Dests) == 0 {
-							continue
-						}
-						v := views.At(f.To)
-						if nbrs := v.Neighbors(); len(nbrs) > 1 && r.Intn(3) == 0 {
-							v = view.NewMasked(v, map[int]bool{nbrs[r.Intn(len(nbrs))]: true})
-						}
-						next = append(next, arenaDecision{g, v, pkt})
-					}
-				}
-				frontier = next
-			}
-		}
-	}
+	stream := arenaReuseCorpus(t, r)
 
 	var perimeter, masked, big int
 	for _, d := range stream {
@@ -137,6 +85,76 @@ func TestArenaReuseMatchesFreshArena(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// arenaReuseCorpus records the decision stream of
+// TestArenaReuseMatchesFreshArena, drawing from r. A sparse field (100 m
+// range, mean degree ~12) leaves voids, so walks enter perimeter mode.
+func arenaReuseCorpus(tb testing.TB, r *rand.Rand) []arenaDecision {
+	tb.Helper()
+	nw, err := network.New(network.DeployUniform(400, 1000, 1000, r), 1000, 1000, 100)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	views := view.NewOracle(nw, planar.Planarize(nw, planar.Gabriel))
+	return recordDecisions(r, nw, views, gmpVariants(), []int{1, 2, 5, 12, 25, 60, 120}, 120, true)
+}
+
+// gmpVariants returns the four GMP grouping variants.
+func gmpVariants() []*GMP {
+	return []*GMP{
+		NewGMP(),
+		NewGMPnr(),
+		NewGMPWithOptions(GMPOptions{MSTGrouping: true}, "GMPmst"),
+		NewGMPWithOptions(GMPOptions{SteinerizedGrouping: true}, "GMPsmst"),
+	}
+}
+
+// recordDecisions records the decisions of real multicast walks: for every
+// variant and every K one task drawn from r, expanded breadth-first from its
+// source, up to perTask decisions. With mask set, about a third of the
+// relays get a view that masks one random neighbor, as after an ARQ
+// give-up.
+func recordDecisions(r *rand.Rand, nw *network.Network, views view.Provider, variants []*GMP, ks []int, perTask int, mask bool) []arenaDecision {
+	var stream []arenaDecision
+	for _, g := range variants {
+		for _, k := range ks {
+			src, dests := pickTask(r, nw.Len(), k)
+			locs := make([]geom.Point, len(dests))
+			for i, d := range dests {
+				locs[i] = nw.Pos(d)
+			}
+			frontier := []arenaDecision{{g, views.At(src), &sim.Packet{Dests: dests, Locs: locs, Anchor: -1}}}
+			recorded := 0
+			for len(frontier) > 0 && recorded < perTask {
+				var next []arenaDecision
+				for _, d := range frontier {
+					if recorded == perTask {
+						break
+					}
+					stream = append(stream, d)
+					recorded++
+					for _, f := range g.decide(new(arena), d.v, d.pkt) {
+						if f.To < 0 {
+							continue
+						}
+						pkt := f.Pkt.Clone()
+						pkt.Hops++
+						if pkt.Strip(f.To); len(pkt.Dests) == 0 {
+							continue
+						}
+						v := views.At(f.To)
+						if nbrs := v.Neighbors(); mask && len(nbrs) > 1 && r.Intn(3) == 0 {
+							v = view.NewMasked(v, map[int]bool{nbrs[r.Intn(len(nbrs))]: true})
+						}
+						next = append(next, arenaDecision{g, v, pkt})
+					}
+				}
+				frontier = next
+			}
+		}
+	}
+	return stream
 }
 
 // forwardsString renders a forward list by value for failure messages.

@@ -177,7 +177,7 @@ func (g *GMP) forwardGroups(a *arena, v view.NodeView, pkt *sim.Packet) (fwds []
 		p := wl[wi]
 		for {
 			group := a.groupLabels(tree, p)
-			next := a.groupNextHop(v, tree.Vertex(p).Pos, group)
+			next := a.nextHop(v, tree.Vertex(p).Pos, group)
 			if next != -1 {
 				bi := -1
 				for i, n := range batchNext {

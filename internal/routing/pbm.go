@@ -149,8 +149,10 @@ func (p *PBM) candidates(v view.NodeView, loc map[int]geom.Point, dests []int) [
 	return out
 }
 
-// objective evaluates f(S) for the given subset.
-func (p *PBM) objective(v view.NodeView, loc map[int]geom.Point, subset, dests []int) float64 {
+// objective evaluates f(S) for the given subset. curTotal is the deciding
+// node's Σ-distance to dests, the normalizer of the progress term; it
+// depends only on the decision, so chooseSubset computes it once.
+func (p *PBM) objective(v view.NodeView, loc map[int]geom.Point, subset, dests []int, curTotal float64) float64 {
 	m := v.Degree()
 	if m == 0 || len(subset) == 0 {
 		return math.Inf(1)
@@ -166,10 +168,6 @@ func (p *PBM) objective(v view.NodeView, loc map[int]geom.Point, subset, dests [
 		}
 		remaining += best
 	}
-	curTotal := sumDistTo(v.Pos(), dests, loc)
-	if curTotal <= geom.Eps {
-		curTotal = geom.Eps
-	}
 	return p.lambda*float64(len(subset))/float64(m) + (1-p.lambda)*remaining/curTotal
 }
 
@@ -180,13 +178,17 @@ func (p *PBM) chooseSubset(v view.NodeView, loc map[int]geom.Point, dests []int)
 	if len(cands) == 0 {
 		return nil
 	}
-	if len(cands) <= pbmExactLimit {
-		return p.exhaustiveSubset(v, loc, cands, dests)
+	curTotal := sumDistTo(v.Pos(), dests, loc)
+	if curTotal <= geom.Eps {
+		curTotal = geom.Eps
 	}
-	return p.greedySubset(v, loc, cands, dests)
+	if len(cands) <= pbmExactLimit {
+		return p.exhaustiveSubset(v, loc, cands, dests, curTotal)
+	}
+	return p.greedySubset(v, loc, cands, dests, curTotal)
 }
 
-func (p *PBM) exhaustiveSubset(v view.NodeView, loc map[int]geom.Point, cands, dests []int) []int {
+func (p *PBM) exhaustiveSubset(v view.NodeView, loc map[int]geom.Point, cands, dests []int, curTotal float64) []int {
 	bestF := math.Inf(1)
 	var best []int
 	buf := make([]int, 0, len(cands))
@@ -197,7 +199,7 @@ func (p *PBM) exhaustiveSubset(v view.NodeView, loc map[int]geom.Point, cands, d
 				buf = append(buf, c)
 			}
 		}
-		if f := p.objective(v, loc, buf, dests); f < bestF {
+		if f := p.objective(v, loc, buf, dests, curTotal); f < bestF {
 			bestF = f
 			best = append([]int(nil), buf...)
 		}
@@ -205,14 +207,14 @@ func (p *PBM) exhaustiveSubset(v view.NodeView, loc map[int]geom.Point, cands, d
 	return best
 }
 
-func (p *PBM) greedySubset(v view.NodeView, loc map[int]geom.Point, cands, dests []int) []int {
+func (p *PBM) greedySubset(v view.NodeView, loc map[int]geom.Point, cands, dests []int, curTotal float64) []int {
 	var subset []int
 	bestF := math.Inf(1)
 	remaining := append([]int(nil), cands...)
 	for len(remaining) > 0 {
 		pick, pickF := -1, bestF
 		for i, c := range remaining {
-			f := p.objective(v, loc, append(subset, c), dests)
+			f := p.objective(v, loc, append(subset, c), dests, curTotal)
 			if f < pickF {
 				pick, pickF = i, f
 			}

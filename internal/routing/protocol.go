@@ -66,24 +66,51 @@ func sumDistTo(p geom.Point, dests []int, loc map[int]geom.Point) float64 {
 // appear: after an ARQ give-up the engine hands out views that mask the
 // blacklisted link.
 //
+// The rule is a conjunction, so the loop tests the cheap conjunct first and
+// does only the work that can change the answer. A neighbor no closer to the
+// pivot than the best so far cannot become best whatever its Σ-distance, so
+// it is dropped on its pivot distance — first on a squared-distance bound
+// that spares the square root, then on the exact distance. Only a neighbor
+// that would become best pays for its Σ-distance, and that sum stops once it
+// reaches the current node's. Ties keep the first neighbor in Neighbors()
+// order, as a full evaluation does, so the choice is the same neighbor in
+// every case (DESIGN.md §2.3).
+//
 // Callers must have primed the arena's distance memo for the current packet
 // (a.memo.begin) — the Σ-distance terms are memoized there because GMP's
 // split loop re-evaluates heavily overlapping groups.
 func (a *arena) groupNextHop(v view.NodeView, pivot geom.Point, group []int) int {
 	a.colBuf = a.memo.cols(group, a.colBuf[:0])
 	cols := a.colBuf
-	curTotal := a.memo.sumRow(0, v.Pos(), cols)
-	best, bestD := -1, math.Inf(1)
+	curTotal := a.memo.sumRow(0, v.Pos(), cols, math.Inf(1))
+	best, bestD, bestBound := -1, math.Inf(1), math.Inf(1)
 	for i, n := range v.Neighbors() {
 		np := v.NbrPos(n)
-		if a.memo.sumRow(i+1, np, cols) >= curTotal {
+		if np.Dist2(pivot) > bestBound {
 			continue
 		}
-		if d := np.Dist(pivot); d < bestD {
-			best, bestD = n, d
+		d := np.Dist(pivot)
+		if d >= bestD {
+			continue
 		}
+		if a.memo.sumRow(i+1, np, cols, curTotal) >= curTotal {
+			continue
+		}
+		best, bestD, bestBound = n, d, dist2Bound(d)
 	}
 	return best
+}
+
+// dist2Bound returns a squared-distance threshold above which a point is
+// certainly no closer than d: a Dist2 above d²·(1+1e-9) exceeds every
+// rounding error of Dist2 and Dist by a factor of about 10⁶, so that
+// point's Dist is >= d. For d too small for d² to be a normal float the
+// bound is +Inf: no point is dropped on it and the exact test decides.
+func dist2Bound(d float64) float64 {
+	if d < 1e-150 {
+		return math.Inf(1)
+	}
+	return d * d * (1 + 1e-9)
 }
 
 // greedyNextHop returns the neighbor of the deciding node closest to target,

@@ -156,9 +156,9 @@ func BenchmarkDecideK120(b *testing.B) {
 	d := newDecider(dep, 0.5, 0)
 	rng := rand.New(rand.NewSource(1))
 	body := randomRequest(LoadConfig{K: 120, Width: dep.NW.Width(), Height: dep.NW.Height()}, rng)
-	// One untimed decision warms the node-view scratch (Steiner tree, memo
-	// matrix) so the loop measures the steady-state request path, which is
-	// what the allocation gate is about.
+	// One untimed decision warms the pooled decision arena (Steiner tree,
+	// memo matrix) so the loop measures the steady-state request path,
+	// which is what the allocation gate is about.
 	if _, err := d.decide("GMP", body); err != nil {
 		b.Fatal(err)
 	}
