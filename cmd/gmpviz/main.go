@@ -24,6 +24,7 @@ import (
 	"gmp/internal/routing"
 	"gmp/internal/sim"
 	"gmp/internal/steiner"
+	"gmp/internal/trace"
 	"gmp/internal/view"
 	"gmp/internal/viz"
 	"gmp/internal/workload"
@@ -97,11 +98,11 @@ func renderSim(protoName string, nodes, k int, seed int64, lambda float64) (stri
 	if err != nil {
 		return "", err
 	}
-	var events []sim.TraceEvent
-	en.SetTracer(func(ev sim.TraceEvent) { events = append(events, ev) })
+	var c trace.Collector
+	en.SetTracer(c.Record)
 	en.RunTask(proto, task.Source, task.Dests)
 	en.SetTracer(nil)
-	return viz.RenderTask(nw, pg, events, task.Source, task.Dests), nil
+	return viz.RenderTask(nw, pg, c.Events(), task.Source, task.Dests), nil
 }
 
 func renderTree(srcFlag, destFlag string, rr float64) (string, error) {

@@ -285,11 +285,11 @@ func (s *System) SetDynamicFrames(on bool) { s.en.SetDynamicFrames(on) }
 // Trace is Multicast plus a transcript of every transmission, for
 // debugging and the gmptrace CLI.
 func (s *System) Trace(p Protocol, src int, dests []int) (Result, []TraceEvent) {
-	var events []TraceEvent
-	s.en.SetTracer(func(ev TraceEvent) { events = append(events, ev) })
+	var c trace.Collector
+	s.en.SetTracer(c.Record)
 	defer s.en.SetTracer(nil)
 	res := s.en.RunTask(p, src, dests)
-	return res, events
+	return res, c.Events()
 }
 
 // RouteAnalysis is the reconstructed digest of one traced task (paths,

@@ -125,7 +125,7 @@ func TestGMPEscapesConcaveTrapViaPerimeter(t *testing.T) {
 
 	perimeterHops := 0
 	bed.en.SetTracer(func(ev sim.TraceEvent) {
-		if ev.Perimeter {
+		if ev.Perimeter && !ev.Died {
 			perimeterHops++
 		}
 	})

@@ -117,6 +117,7 @@ type decider struct {
 	arena    []byte              // encoded outgoing frames
 	outFrame wire.Frame          // per-forward encode scratch
 	keyBuf   []byte              // cache key build buffer
+	walk     walker              // ROUTE walk state (walk.go)
 }
 
 func newDecider(dep *Deployment, lambda float64, k int) *decider {
@@ -161,12 +162,12 @@ type fwdRec struct {
 }
 
 // run computes — or recalls from the memo cache — the normalized decision
-// for op at node on pkt. It reports whether the result came from the
+// for op at v's node on pkt. It reports whether the result came from the
 // cache. The returned records are read-only for the caller.
-func (d *decider) run(p routing.Protocol, protoName string, op byte, node int, pkt *sim.Packet) ([]fwdRec, bool) {
+func (d *decider) run(p routing.Protocol, protoName string, op byte, v view.NodeView, pkt *sim.Packet) ([]fwdRec, bool) {
 	var key []byte
 	if d.cache != nil {
-		key = d.appendCacheKey(d.keyBuf[:0], protoName, op, node, pkt)
+		key = d.appendCacheKey(d.keyBuf[:0], protoName, op, v.Self(), pkt)
 		d.keyBuf = key
 		if recs := d.cache.get(key); recs != nil {
 			return recs, true
@@ -174,9 +175,9 @@ func (d *decider) run(p routing.Protocol, protoName string, op byte, node int, p
 	}
 	var fwds []sim.Forward
 	if op == wire.OpStart {
-		fwds = p.Start(d.views.At(node), pkt)
+		fwds = p.Start(v, pkt)
 	} else {
-		fwds = p.Decide(d.views.At(node), pkt)
+		fwds = p.Decide(v, pkt)
 	}
 	recs := d.recs[:0]
 	for _, f := range fwds {
@@ -308,7 +309,7 @@ func (d *decider) decide(protoName string, req wire.DecideBody) ([]wire.ForwardR
 	if pkt == nil { // every destination resolved to the deciding node
 		return []wire.ForwardReply{}, nil
 	}
-	recs, _ := d.run(p, protoName, req.Op, node, pkt)
+	recs, _ := d.run(p, protoName, req.Op, d.views.At(node), pkt)
 	return d.recsToReplies(f, node, recs)
 }
 

@@ -4,33 +4,27 @@ package serve
 // ping-pong with the daemon: decode a frame, make one decision, re-encode,
 // and pay a round trip per transmission. A ROUTE request hands the daemon
 // the start frame once; the walker then runs the whole multicast walk
-// in-process, applying each decision's forwards to in-flight packet copies
-// exactly as the simulation engine's apply/send/arrive path does, and
-// streams each transmission back as a HOP message before summarizing every
-// destination's fate in ROUTE_DONE.
+// in-process and streams each transmission back as a HOP message before
+// summarizing every destination's fate in ROUTE_DONE.
 //
-// The walk reuses one decider's scratch across every hop — one frame
-// decode, pooled packet copies, one encode arena — which is where the
-// streamed mode's throughput comes from (BenchmarkRouteK120 vs
+// The walk is one session on the simulation kernel's hop-ordered policy
+// (sim.Engine.RunHops), so every copy rule is the kernel's. This file
+// supplies the memoized decision at each hop and turns the kernel's copy
+// events into HOP frames and per-destination fates. Routing state stays in
+// memory between hops (perimeter watchdog fields, the previous hop), which
+// the per-hop wire format cannot carry. Reusing one decider's scratch, the
+// kernel's recycled copies and one encode arena across every hop is where
+// the streamed mode's throughput comes from (BenchmarkRouteK120 vs
 // BenchmarkPerHopRouteK120; E-X14 measures the same ratio end to end).
-//
-// Fidelity: the walker applies the simulation kernel's copy rules, sharing
-// its helpers where the rule is a predicate or a header edit (sim.ValidHop
-// for invalid sends, Packet.Strip for strip-then-decide): hop-budget
-// checks, stranded and drop-sentinel billing, first-delivery-wins. It keeps
-// full in-memory routing state between hops — perimeter watchdog fields and the
-// previous hop survive, which the per-hop wire format cannot carry. Copies
-// advance in FIFO order from a breadth-first queue, so arrivals are
-// processed in nondecreasing hop order and the first delivery at a
-// destination is a minimum-hop delivery, matching the engine for every
-// non-redundant protocol (the E-X14 replay oracle pins this).
 
 import (
 	"errors"
 	"fmt"
 	"sort"
 
+	"gmp/internal/routing"
 	"gmp/internal/sim"
+	"gmp/internal/view"
 	"gmp/internal/wire"
 )
 
@@ -50,12 +44,6 @@ const (
 // ErrWalkOverrun reports a route walk that exceeded the decision ceiling.
 var ErrWalkOverrun = errors.New("serve: route walk exceeded the step ceiling")
 
-// walkItem is one in-flight packet copy waiting to arrive at node.
-type walkItem struct {
-	node int
-	pkt  *sim.Packet
-}
-
 // reasonStatus maps an engine drop reason onto the wire's per-destination
 // route status byte.
 func reasonStatus(r sim.DropReason) byte {
@@ -71,6 +59,25 @@ func reasonStatus(r sim.DropReason) byte {
 	default:
 		return wire.RouteDropStranded
 	}
+}
+
+// walker is one decider's ROUTE walk: the sim.Handler the kernel asks at
+// every hop, and the observer of its copy events. The engine and buffers
+// persist across the decider's walks.
+type walker struct {
+	d        *decider
+	en       *sim.Engine
+	p        routing.Protocol
+	proto    string
+	hops0    int // the start frame's hop count
+	maxSteps int
+	emit     func(wire.HopBody) bool
+	done     *wire.RouteDoneBody
+	seq      uint32
+	err      error
+	died     map[int]byte // destination → status of the first copy death aboard
+	pkts     []sim.Packet // forward packets of the current decision
+	fwds     []sim.Forward
 }
 
 // walkRoute answers one ROUTE request: decode the start frame, resolve the
@@ -100,29 +107,18 @@ func (d *decider) walkRoute(protoName string, rb wire.RouteBody, emit func(hb wi
 	f := &d.frame
 	nw := d.dep.NW
 
-	// Resolve the full wanted set first — the summary reports every
-	// resolved destination, including those co-located with the source.
-	if d.seen == nil {
-		d.seen = make(map[int]bool, 64)
-	}
-	clear(d.seen)
-	want := make([]int, 0, len(f.Dests))
-	for _, loc := range f.Dests {
-		id := nw.ClosestNode(loc)
-		if d.seen[id] {
-			continue // co-located subscribers merge (§2)
-		}
-		d.seen[id] = true
-		want = append(want, id)
-	}
-	sort.Ints(want)
-
-	// frameToPacket re-resolves under the engine's Start shape rules:
-	// no anchor, no PERIMODE, sorted destinations, restamped locations,
-	// source-co-located destinations stripped (delivered at hop 0).
-	src, pkt, err := d.frameToPacket(wire.OpStart, f)
+	// frameToPacket validates the start frame (no anchor, no PERIMODE) and
+	// resolves the source and the destinations other than it (d.ids);
+	// d.seen records whether the source is one too. The summary reports
+	// every resolved destination, and the kernel builds the start packet.
+	src, _, err := d.frameToPacket(wire.OpStart, f)
 	if err != nil {
 		return nil, err
+	}
+	want := append(make([]int, 0, len(d.ids)+1), d.ids...)
+	if d.seen[src] {
+		want = append(want, src)
+		sort.Ints(want)
 	}
 
 	budget := int(rb.Budget)
@@ -134,167 +130,116 @@ func (d *decider) walkRoute(protoName string, rb wire.RouteBody, emit func(hb wi
 		maxSteps = DefaultRouteMaxSteps
 	}
 
-	delivered := make(map[int]uint16, len(want))
-	pending := make(map[int]byte) // first drop reason wins; settled at the end
-	for _, id := range want {
-		if id == src {
-			delivered[id] = 0
-		}
+	w := &d.walk
+	if w.en == nil {
+		w.en = sim.NewEngine(nw, sim.DefaultRadioParams(), 0)
+		w.en.SetViews(d.views)
+		w.en.SetTracer(w.observe)
+		w.died = make(map[int]byte)
 	}
-
+	clear(w.died)
 	done := &wire.RouteDoneBody{}
-	var seq uint32
-	// bill defers a copy kill's per-destination charge into the pending
-	// map, exactly like the engine's redundant-session settlement: a later
-	// copy may still deliver, so delivered destinations shed their pending
-	// reason when the walk settles.
-	bill := func(dests []int, r sim.DropReason) {
-		status := reasonStatus(r)
-		for _, id := range dests {
-			if _, seen := pending[id]; !seen {
-				pending[id] = status
-			}
-		}
-	}
-	// event streams one copy event; a refused emit stops the stream but
-	// never the walk.
-	event := func(from, to int, hops int, r *fwdRec) error {
-		if emit == nil {
-			return nil
-		}
-		hb := byte(255)
-		if hops < 255 {
-			hb = byte(hops)
-		}
-		arena := d.arena[:0]
-		arena, err := d.appendForwardFrame(arena, f.Source, f.Payload, hb, from, r)
-		d.arena = arena
-		if err != nil {
-			return err
-		}
-		if !emit(wire.HopBody{Seq: seq, From: int32(from), To: int32(to), Frame: arena}) {
-			emit = nil
-		}
-		seq++
-		return nil
+	*w = walker{d: d, en: w.en, p: p, proto: protoName, hops0: int(f.Hops),
+		maxSteps: maxSteps, emit: emit, done: done, died: w.died, pkts: w.pkts, fwds: w.fwds}
+	m := w.en.RunHops(sim.Session{Handler: w, Src: src, Dests: want}, budget)
+	w.emit = nil
+	if w.err != nil {
+		return nil, w.err
 	}
 
-	var queue []walkItem
-	head := 0
-	// step runs one decision at node on pkt and applies its forwards under
-	// the kernel's apply/send rules: explicit drop sentinels kill with their
-	// reasons; transmissions are range-checked, hop-bumped, budget-checked,
-	// then enqueued as fresh pooled copies.
-	step := func(op byte, node int, pkt *sim.Packet, pooled bool) error {
-		if int(done.Decisions) >= maxSteps {
-			return ErrWalkOverrun
-		}
-		recs, hit := d.run(p, protoName, op, node, pkt)
-		done.Decisions++
-		if hit {
-			done.CacheHits++
-		}
-		if len(recs) == 0 {
-			bill(pkt.Dests, sim.ReasonStranded)
-			if pooled && hit {
-				sim.PutPacket(pkt)
-			}
-			return nil
-		}
-		for i := range recs {
-			r := &recs[i]
-			switch r.To {
-			case sim.DropCopy:
-				// Per-hop replies encode drop frames with the bumped hop
-				// count (recsToReplies bumps once for the whole list); the
-				// stream matches byte for byte.
-				bill(r.Dests, sim.ReasonProtocol)
-				if err := event(node, sim.DropCopy, pkt.Hops+1, r); err != nil {
-					return err
-				}
-			case sim.DropWatchdog:
-				bill(r.Dests, sim.ReasonWatchdog)
-				if err := event(node, sim.DropWatchdog, pkt.Hops+1, r); err != nil {
-					return err
-				}
-			default:
-				if !sim.ValidHop(nw, node, r.To) {
-					bill(r.Dests, sim.ReasonInvalidSend)
-					continue // no transmission, like the kernel's send
-				}
-				hops := pkt.Hops + 1
-				if budget > 0 && hops > budget {
-					bill(r.Dests, sim.ReasonHopBudget)
-					continue // killed before the air, like the engine
-				}
-				if err := event(node, r.To, hops, r); err != nil {
-					return err
-				}
-				done.Hops++
-				q := sim.GetPacket()
-				q.Dests = append(q.Dests, r.Dests...)
-				q.Locs = append(q.Locs, r.Locs...)
-				q.Hops = hops
-				q.Perimeter = r.Perimeter
-				if r.Perimeter {
-					q.Peri = r.Peri
-				}
-				q.Anchor = r.Anchor
-				queue = append(queue, walkItem{node: r.To, pkt: q})
-			}
-		}
-		// A cache hit never showed pkt to a handler, and cached records
-		// alias nothing of it — a pooled copy can be recycled.
-		if pooled && hit {
-			sim.PutPacket(pkt)
-		}
-		return nil
-	}
-
-	if pkt != nil { // nil: every destination resolved to the source
-		// The start packet is decoder scratch, never pooled.
-		if err := step(wire.OpStart, src, pkt, false); err != nil {
-			return nil, err
-		}
-	}
-	for head < len(queue) {
-		it := queue[head]
-		queue[head] = walkItem{}
-		head++
-		// Arrive: strip the destination delivered here (first delivery
-		// wins), then decide if work remains — the kernel's arrive.
-		q := it.pkt
-		if q.Strip(it.node) > 0 {
-			if _, dup := delivered[it.node]; !dup {
-				delivered[it.node] = uint16(min(q.Hops, 0xFFFF))
-			}
-		}
-		if len(q.Dests) == 0 {
-			// Fully delivered; this copy was never shown to a handler, so
-			// its storage goes back to the pool for the next hop's clone.
-			sim.PutPacket(q)
-			continue
-		}
-		if err := step(wire.OpDecide, it.node, q, true); err != nil {
-			return nil, err
-		}
-	}
-
-	// Settle: delivered wins over any pending drop reason (another copy's
-	// death never un-delivers a destination).
+	// Delivered wins over any death of another copy.
+	done.Hops = uint32(m.Transmissions)
 	done.Outcomes = make([]wire.DestOutcome, 0, len(want))
 	for _, id := range want {
 		o := wire.DestOutcome{Node: int32(id), Loc: nw.Pos(id)}
-		if h, ok := delivered[id]; ok {
-			o.Status, o.Hops = wire.RouteDelivered, h
-		} else if status, ok := pending[id]; ok {
+		if h, ok := m.Delivered[id]; ok {
+			o.Status, o.Hops = wire.RouteDelivered, uint16(min(h, 0xFFFF))
+		} else if status, ok := w.died[id]; ok {
 			o.Status = status
-		} else {
-			// Every copy either delivers or is billed when it dies; a
-			// destination with neither is a walker conservation bug.
+		} else { // every copy delivers or dies: a conservation bug
 			return nil, fmt.Errorf("%w: destination %d neither delivered nor dropped", ErrFrameEncode, id)
 		}
 		done.Outcomes = append(done.Outcomes, o)
 	}
 	return done, nil
+}
+
+// Start implements sim.Handler. The kernel's start packet has hop count
+// zero; the forwards carry the start frame's.
+func (w *walker) Start(v view.NodeView, pkt *sim.Packet) []sim.Forward {
+	return w.decide(wire.OpStart, v, pkt, w.hops0)
+}
+
+// Decide implements sim.Handler: a relay's decision.
+func (w *walker) Decide(v view.NodeView, pkt *sim.Packet) []sim.Forward {
+	return w.decide(wire.OpDecide, v, pkt, pkt.Hops)
+}
+
+// decide runs (or recalls) the decision and hands its records to the kernel
+// as forwards at hop count hops. Once the walk has failed or passed the
+// step ceiling it returns none: the kernel drains what is in flight.
+func (w *walker) decide(op byte, v view.NodeView, pkt *sim.Packet, hops int) []sim.Forward {
+	if w.err != nil {
+		return nil
+	}
+	if int(w.done.Decisions) >= w.maxSteps {
+		w.err = ErrWalkOverrun
+		return nil
+	}
+	recs, hit := w.d.run(w.p, w.proto, op, v, pkt)
+	w.done.Decisions++
+	if hit {
+		w.done.CacheHits++
+	}
+	if cap(w.pkts) < len(recs) {
+		w.pkts = make([]sim.Packet, len(recs))
+	}
+	w.fwds = w.fwds[:0]
+	for i := range recs {
+		r := &recs[i]
+		q := &w.pkts[:len(recs)][i]
+		*q = sim.Packet{Dests: r.Dests, Locs: r.Locs, Hops: hops, Perimeter: r.Perimeter,
+			Peri: r.Peri, Anchor: r.Anchor, Session: pkt.Session}
+		w.fwds = append(w.fwds, sim.Forward{To: r.To, Pkt: q})
+	}
+	return w.fwds
+}
+
+// observe is the kernel's copy-event observer. A death charges the
+// destinations aboard that no earlier death charged; transmissions and
+// protocol drops stream as HOP frames until an emit is refused.
+func (w *walker) observe(ev sim.TraceEvent) {
+	if w.err != nil {
+		return
+	}
+	hops := ev.Hops
+	if ev.Died {
+		status := reasonStatus(ev.Reason)
+		for _, id := range ev.Dests {
+			if _, seen := w.died[id]; !seen {
+				w.died[id] = status
+			}
+		}
+		if ev.Reason != sim.ReasonProtocol && ev.Reason != sim.ReasonWatchdog {
+			return // engine-imposed kills surface only in the outcomes
+		}
+		hops++ // per-hop replies encode drop frames with the bumped count
+	}
+	if w.emit == nil {
+		return
+	}
+	d, q := w.d, ev.Pkt
+	rec := fwdRec{To: ev.To, Dests: q.Dests, Locs: q.Locs, Perimeter: q.Perimeter,
+		Peri: q.Peri, Anchor: q.Anchor}
+	arena, err := d.appendForwardFrame(d.arena[:0], d.frame.Source, d.frame.Payload,
+		byte(min(hops, 255)), ev.From, &rec)
+	d.arena = arena
+	if err != nil {
+		w.err = err
+		return
+	}
+	if !w.emit(wire.HopBody{Seq: w.seq, From: int32(ev.From), To: int32(ev.To), Frame: arena}) {
+		w.emit = nil
+	}
+	w.seq++
 }

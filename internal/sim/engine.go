@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"gmp/internal/geom"
 	"gmp/internal/network"
@@ -45,48 +44,14 @@ type Packet struct {
 	Session int
 }
 
-// packetPool recycles Packet structs together with their Dests/Locs backing
-// arrays for packets built outside the kernel: Clone and CloneFor draw from
-// it, and the decision service's route walker returns its copies through
-// PutPacket. (The kernel recycles its own per-hop clones on lane free lists;
-// see lane.freePkt.) sync.Pool is safe for the parallel campaign workers.
-var packetPool = sync.Pool{New: func() any { return new(Packet) }}
-
-// getPacket returns a recycled (or fresh) packet whose Dests/Locs retain
-// capacity from a previous life.
-func getPacket() *Packet { return packetPool.Get().(*Packet) }
-
-// GetPacket hands a pooled packet to callers outside the engine (the
-// decision service's route walker shares the pool so streamed walks reuse
-// storage across hops). All fields are zero; Dests and Locs are length 0
-// with whatever capacity a previous life left them.
-func GetPacket() *Packet {
-	p := getPacket()
-	p.Dests = p.Dests[:0]
-	p.Locs = p.Locs[:0]
-	return p
-}
-
-// PutPacket recycles a packet obtained from GetPacket (or built by Clone/
-// CloneFor). The caller must hold the only live reference to p and to its
-// Dests/Locs backing arrays; packets that were shown to a protocol handler
-// must be left to the garbage collector instead.
-func PutPacket(p *Packet) {
-	*p = Packet{Dests: p.Dests[:0], Locs: p.Locs[:0]}
-	packetPool.Put(p)
-}
-
-// Clone deep-copies the packet, so every transmitted copy owns its state.
-// The copy comes from the packet pool; its Dests/Locs never alias p's.
+// Clone deep-copies the packet, so every transmitted copy owns its state:
+// the copy's Dests/Locs never alias p's.
 func (p *Packet) Clone() *Packet {
-	q := getPacket()
-	dests := append(q.Dests[:0], p.Dests...)
-	locs := append(q.Locs[:0], p.Locs...)
-	*q = *p
-	q.Dests = dests
-	q.Locs = locs
+	q := *p
+	q.Dests = append([]int(nil), p.Dests...)
+	q.Locs = append([]geom.Point(nil), p.Locs...)
 	// Route is immutable after the source builds it; sharing is safe.
-	return q
+	return &q
 }
 
 // LocOf returns the header location carried for destination id. The id must
@@ -122,15 +87,13 @@ func (p *Packet) Strip(node int) int {
 // must be present in p.Dests); the header locations follow the subset. The
 // ids slice is adopted, not copied — pass a fresh slice.
 func (p *Packet) CloneFor(ids []int) *Packet {
-	q := getPacket()
-	locs := q.Locs[:0]
-	for _, id := range ids {
-		locs = append(locs, p.LocOf(id))
-	}
-	*q = *p
+	q := *p
 	q.Dests = ids
-	q.Locs = locs
-	return q
+	q.Locs = make([]geom.Point, len(ids))
+	for i, id := range ids {
+		q.Locs[i] = p.LocOf(id)
+	}
+	return &q
 }
 
 // Forward is one element of a decision's output: transmit Pkt to neighbor
@@ -428,29 +391,43 @@ func (m *SessionMetrics) MeanLatency() float64 {
 	return sum / float64(len(m.DeliveredAt))
 }
 
-// TraceEvent describes one transmission for observability tooling (the
-// gmptrace CLI). Fields are snapshots taken at send time.
+// TraceEvent is one copy event, reported to the engine's observer in apply
+// order: a transmission, or — with Died set — the death of a copy. Dests and
+// Pkt alias the kernel's copy, so reporting costs no allocation; they are
+// valid only during the callback (trace.Collector keeps detached copies).
 type TraceEvent struct {
-	// Time is the virtual send time in seconds.
+	// Time is the virtual time of the event in seconds (the send time for a
+	// transmission).
 	Time float64
-	// From and To are the transmitting and receiving node IDs.
+	// From is the transmitting node, or the node where the copy died. To is
+	// the receiving node; for a death it is the addressed neighbor of an
+	// invalid send or a frame lost in flight, the DropCopy/DropWatchdog
+	// sentinel of a protocol drop, and -1 otherwise.
 	From, To int
-	// Hops is the packet's hop count after this transmission.
+	// Hops is the copy's hop count (after this transmission, for a
+	// transmission).
 	Hops int
 	// Dests is the destination set carried by the copy.
 	Dests []int
 	// Perimeter reports whether the copy is in perimeter mode.
 	Perimeter bool
+	// Died marks the copy's death, for Reason.
+	Died   bool
+	Reason DropReason
+	// Pkt is the copy itself, read-only.
+	Pkt *Packet
 }
 
-// TraceFunc observes every accepted transmission.
+// TraceFunc observes every copy event.
 type TraceFunc func(TraceEvent)
 
 // Engine runs multicast tasks over a network with a given radio model:
 // one at a time via RunTask (the experiment harness's mode) or many
 // overlapping in virtual time via RunScript. Transmissions from one node
 // serialize — a node's radio is half-duplex and sends one frame at a time —
-// which is what makes concurrent-load latency meaningful.
+// which is what makes concurrent-load latency meaningful. RunHops runs one
+// task in hop order instead, for callers that want the copy rules without
+// the radio's timing.
 type Engine struct {
 	net     *network.Network
 	radio   RadioParams
@@ -542,7 +519,7 @@ func (e *Engine) Now() float64 {
 	return now
 }
 
-// SetTracer installs (or clears, with nil) a transmission observer. Tracing
+// SetTracer installs (or clears, with nil) the copy-event observer. Tracing
 // does not affect simulation behavior. It requires the single-queue policy:
 // tiled runs panic with a tracer installed, because trace order across tiles
 // is not deterministic.
@@ -584,4 +561,25 @@ func (e *Engine) RunTask(h Handler, src int, dests []int) TaskMetrics {
 // anything else is a programming error and panics.
 func (e *Engine) RunScript(sessions []Session) []SessionMetrics {
 	return e.newRun(sessions).execute()
+}
+
+// RunHops runs one session under the hop-ordered policy: every transmission
+// arrives exactly one hop after it is sent, with no airtime and no
+// half-duplex serialization, so copies arrive in nondecreasing hop order and
+// in send order at equal hops — a breadth-first walk of the session's copy
+// tree. maxHops is the hop budget for this call (0 = unlimited). The handler
+// must not retain a packet it was shown past its call: the policy recycles
+// every copy once its decision is applied. The policy models no faults,
+// ARQ, churn or sharding; an engine with any installed is a programming
+// error and panics.
+func (e *Engine) RunHops(s Session, maxHops int) SessionMetrics {
+	if maxHops < 0 {
+		panic(fmt.Sprintf("sim: negative hop budget %d (use 0 for unlimited)", maxHops))
+	}
+	if e.faults.Active() || e.arq.Enabled || e.churn.Active() || e.sharding != (ShardConfig{}) {
+		panic("sim: RunHops models no faults, ARQ, churn or sharding; clear them first")
+	}
+	r := e.newRun([]Session{s})
+	r.hopOrdered, r.maxHops = true, maxHops
+	return r.execute()[0]
 }

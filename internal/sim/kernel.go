@@ -16,11 +16,12 @@ import (
 // rules (view, kill, bill, apply, send, transmit, receive, ACK, give-up,
 // arrive), executed as typed events on lanes. The single-queue policy runs
 // every event on one lane; the tiled policy (shard.go) runs one lane per
-// network tile between window barriers. The copy rules below know which
-// policy is running only at the documented points (package doc, DESIGN.md
-// §2.4): the fault stream (one per run vs one per tile), ARQ give-up (inline
-// vs an evGiveUp event), churn (per hop vs per barrier) and tracing (tiled
-// runs refuse a tracer).
+// network tile between window barriers; the hop-ordered policy (RunHops)
+// runs one session in hop order. The copy rules below know which policy is
+// running only at the documented points (package doc, DESIGN.md §2.4): the
+// fault stream (one per run vs one per tile), ARQ give-up (inline vs an
+// evGiveUp event), churn (per hop vs per barrier), tracing (tiled runs
+// refuse a tracer), and transmission timing and copy recycling (hop order).
 
 // ValidHop reports whether a node may transmit to another: the target is a
 // real node other than the sender and within its radio range. Forwards
@@ -147,7 +148,8 @@ func (ln *lane) getPkt() *Packet {
 // this only for copies it cloned itself (in send) that were never handed to
 // any handler — a handler may legally retain or alias a packet it was shown
 // (decisions may stash copies, and CloneFor adopts caller slices), so
-// handler-exposed packets are left to the garbage collector.
+// handler-exposed packets are left to the garbage collector, except under
+// the hop-ordered policy, whose contract forbids handlers to retain them.
 func (ln *lane) freePkt(p *Packet) {
 	*p = Packet{Dests: p.Dests[:0], Locs: p.Locs[:0]}
 	ln.free = append(ln.free, p)
@@ -164,8 +166,8 @@ func (ln *lane) clonePkt(p *Packet) *Packet {
 	return q
 }
 
-// kernelRun is one RunScript execution. The Engine keeps the last one, so
-// the next run reuses its lanes and scratch storage.
+// kernelRun is one RunScript or RunHops execution. The Engine keeps the last
+// one, so the next run reuses its lanes and scratch storage.
 type kernelRun struct {
 	e         *Engine
 	lanes     []*lane
@@ -180,6 +182,9 @@ type kernelRun struct {
 	// prologue deliveries at the source and churn accounting. Lane partials
 	// are merged into it, in lane order, at the end of the run.
 	base []SessionMetrics
+
+	hopOrdered bool // RunHops' policy
+	maxHops    int  // the run's hop budget
 }
 
 // shardTileSeedStride separates per-tile fault streams; like the experiment
@@ -208,6 +213,7 @@ func (e *Engine) newRun(sessions []Session) *kernelRun {
 		lanes:     r.lanes,
 		tiled:     e.sharding != (ShardConfig{}),
 		window:    e.sharding.Window,
+		maxHops:   e.maxHops,
 		busyUntil: resize(r.busyUntil, e.net.Len()),
 		handlers:  resize(r.handlers, len(sessions)),
 		redundant: resize(r.redundant, len(sessions)),
@@ -365,7 +371,7 @@ func (r *kernelRun) dispatch(ln *lane, ev event) {
 		}
 		fwds := r.handlers[ev.sess].Start(r.viewAt(ln, ev.sess, ev.from), pkt)
 		if len(fwds) == 0 {
-			r.kill(ln, pkt, ReasonStranded)
+			r.kill(ln, ev.from, -1, pkt, ReasonStranded)
 			return
 		}
 		r.billUncovered(ln, pkt, fwds)
@@ -418,22 +424,31 @@ func (r *kernelRun) apply(ln *lane, from int, fwds []Forward) {
 	for _, f := range fwds {
 		switch f.To {
 		case DropCopy:
-			r.kill(ln, f.Pkt, ReasonProtocol)
+			r.kill(ln, from, f.To, f.Pkt, ReasonProtocol)
 		case DropWatchdog:
-			r.kill(ln, f.Pkt, ReasonWatchdog)
+			r.kill(ln, from, f.To, f.Pkt, ReasonWatchdog)
 		default:
 			r.sendPkt(ln, from, f.To, f.Pkt)
 		}
 	}
 }
 
-// kill records a packet copy's death: one copy-level event plus the
-// destinations still aboard, both indexed by reason and billed to the
-// packet's own session.
-func (r *kernelRun) kill(ln *lane, pkt *Packet, reason DropReason) {
+// kill records a packet copy's death at node `at` (To `to`, see TraceEvent):
+// one copy-level event plus the destinations still aboard, both indexed by
+// reason and billed to the packet's own session, and reported.
+func (r *kernelRun) kill(ln *lane, at, to int, pkt *Packet, reason DropReason) {
 	ls := &ln.sess[pkt.Session]
 	ls.m.DropsByReason[reason]++
 	r.billDests(ln, pkt.Session, pkt.Dests, reason)
+	r.observe(ln.now, at, to, pkt, true, reason)
+}
+
+// observe reports one copy event to the tracer, if one is installed.
+func (r *kernelRun) observe(at float64, from, to int, pkt *Packet, died bool, reason DropReason) {
+	if r.e.tracer != nil {
+		r.e.tracer(TraceEvent{Time: at, From: from, To: to, Hops: pkt.Hops, Dests: pkt.Dests,
+			Perimeter: pkt.Perimeter, Died: died, Reason: reason, Pkt: pkt})
+	}
 }
 
 // billDests charges the per-destination half of a drop. Ordinary sessions
@@ -514,13 +529,14 @@ func (r *kernelRun) sendPkt(ln *lane, from, to int, pkt *Packet) {
 		ls.m.InvalidSends++
 		ls.m.DropsByReason[ReasonInvalidSend]++
 		r.billDests(ln, ln.cur, pkt.Dests, ReasonInvalidSend)
+		r.observe(ln.now, from, to, pkt, true, ReasonInvalidSend)
 		return
 	}
 	copyPkt := ln.clonePkt(pkt)
 	copyPkt.Session = ln.cur
 	copyPkt.Hops++
-	if r.e.maxHops > 0 && copyPkt.Hops > r.e.maxHops {
-		r.kill(ln, copyPkt, ReasonHopBudget)
+	if r.maxHops > 0 && copyPkt.Hops > r.maxHops {
+		r.kill(ln, from, -1, copyPkt, ReasonHopBudget)
 		ln.freePkt(copyPkt) // fresh kernel clone, never left this function
 		return
 	}
@@ -531,24 +547,28 @@ func (r *kernelRun) sendPkt(ln *lane, from, to int, pkt *Packet) {
 // higher attempts are ARQ retransmissions). It charges airtime and energy,
 // serializes on the sender's half-duplex radio, draws the frame's fault
 // fate, and schedules the reception. It always runs in the sender's lane, so
-// the serialization state and the fault stream are lane-local.
+// the serialization state and the fault stream are lane-local. In hop order
+// the frame arrives one hop later, unserialized.
 func (r *kernelRun) transmit(ln *lane, from, to int, pkt *Packet, attempt int) {
 	e := r.e
 	m := &ln.sess[pkt.Session].m
 	if r.isDead(from) {
 		// The sender's radio died before this (re)transmission went out.
-		r.kill(ln, pkt, ReasonSenderCrashed)
+		r.kill(ln, from, to, pkt, ReasonSenderCrashed)
 		ln.freePkt(pkt) // kernel clone, still unexposed to any handler
 		return
 	}
 	frame := e.frameBytes(pkt)
 	airtime := e.radio.TxTimeBytes(frame)
 
-	txStart := ln.now
-	if r.busyUntil[from] > txStart {
-		txStart = r.busyUntil[from]
+	txStart, arrival := ln.now, ln.now+1
+	if !r.hopOrdered {
+		if r.busyUntil[from] > txStart {
+			txStart = r.busyUntil[from]
+		}
+		r.busyUntil[from] = txStart + airtime
+		arrival = txStart + airtime
 	}
-	r.busyUntil[from] = txStart + airtime
 
 	m.Transmissions++
 	if attempt > 0 {
@@ -556,16 +576,7 @@ func (r *kernelRun) transmit(ln *lane, from, to int, pkt *Packet, attempt int) {
 	}
 	m.EnergyJ += e.radio.TxEnergyBytes(frame, e.net.Degree(from))
 	r.chargeLedger(m, from, airtime)
-	if e.tracer != nil {
-		e.tracer(TraceEvent{
-			Time:      txStart,
-			From:      from,
-			To:        to,
-			Hops:      pkt.Hops,
-			Dests:     append([]int(nil), pkt.Dests...),
-			Perimeter: pkt.Perimeter,
-		})
-	}
+	r.observe(txStart, from, to, pkt, false, 0)
 	// The frame's on-air fate is drawn at send time (deterministically, in
 	// event order); whether the receiver is alive is checked at arrival
 	// time, so a crash mid-flight loses the frame.
@@ -583,7 +594,7 @@ func (r *kernelRun) transmit(ln *lane, from, to int, pkt *Packet, attempt int) {
 		lost = true
 	}
 	r.send(ln, to, event{
-		time: txStart + airtime, kind: evReceive,
+		time: arrival, kind: evReceive,
 		from: from, to: to, attempt: attempt, lost: lost, pkt: pkt,
 	})
 }
@@ -627,9 +638,9 @@ func (r *kernelRun) receive(ln *lane, ev event) {
 	if !e.arq.Enabled {
 		// Without ARQ the sender never learns; the copy silently dies.
 		if ev.lost {
-			r.kill(ln, pkt, ReasonLinkLoss)
+			r.kill(ln, ev.from, ev.to, pkt, ReasonLinkLoss)
 		} else {
-			r.kill(ln, pkt, ReasonCrashedReceiver)
+			r.kill(ln, ev.from, ev.to, pkt, ReasonCrashedReceiver)
 		}
 		ln.freePkt(pkt) // kernel clone, died in flight: no handler saw it
 		return
@@ -672,7 +683,7 @@ func (r *kernelRun) giveUp(ln *lane, from, to int, pkt *Packet) {
 
 	nh, hasNack := r.handlers[pkt.Session].(NackHandler)
 	if !hasNack {
-		r.kill(ln, pkt, ReasonARQExhausted)
+		r.kill(ln, from, to, pkt, ReasonARQExhausted)
 		ln.freePkt(pkt) // no NackHandler: the copy never reached a handler
 		return
 	}
@@ -681,7 +692,7 @@ func (r *kernelRun) giveUp(ln *lane, from, to int, pkt *Packet) {
 	if len(fwds) == 0 {
 		// The handler declined the copy; it has still *seen* it (and may
 		// alias it), so the kill is billed but the storage is left to GC.
-		r.kill(ln, pkt, ReasonARQExhausted)
+		r.kill(ln, from, to, pkt, ReasonARQExhausted)
 		return
 	}
 	r.billUncovered(ln, pkt, fwds)
@@ -710,7 +721,8 @@ func (r *kernelRun) sendAck(ln *lane, node int, pkt *Packet) {
 // nothing (receive checks first). A decision that returns no forwards while
 // destinations remain strands the copy, billed as ReasonStranded. Deliveries
 // of a destination always happen in the destination's own lane, so the
-// duplicate check needs only the lane partial.
+// duplicate check needs only the lane partial. The hop-ordered policy
+// recycles the copy once its decision is applied (RunHops' contract).
 func (r *kernelRun) arrive(ln *lane, node int, pkt *Packet) {
 	ln.cur = pkt.Session
 	r.hopChurn(pkt, node, ln.now)
@@ -742,11 +754,14 @@ func (r *kernelRun) arrive(ln *lane, node int, pkt *Packet) {
 	}
 	fwds := r.handlers[pkt.Session].Decide(r.viewAt(ln, pkt.Session, node), pkt)
 	if len(fwds) == 0 {
-		r.kill(ln, pkt, ReasonStranded)
-		return
+		r.kill(ln, node, -1, pkt, ReasonStranded)
+	} else {
+		r.billUncovered(ln, pkt, fwds)
+		r.apply(ln, node, fwds)
 	}
-	r.billUncovered(ln, pkt, fwds)
-	r.apply(ln, node, fwds)
+	if r.hopOrdered {
+		ln.freePkt(pkt)
+	}
 }
 
 // merge folds every lane's session partials into the coordinator base, in

@@ -186,6 +186,9 @@ func runGolden(t *testing.T, nw *network.Network, prov view.Provider, sc goldenS
 	var all []sim.SessionMetrics
 	if mode.shards == 0 {
 		e.SetTracer(func(ev sim.TraceEvent) {
+			if ev.Died {
+				return // the golden pins transmissions
+			}
 			fmt.Fprintf(&b, "tx %x %d>%d h%d %v p%t\n",
 				math.Float64bits(ev.Time), ev.From, ev.To, ev.Hops, ev.Dests, ev.Perimeter)
 		})

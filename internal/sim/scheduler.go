@@ -10,8 +10,8 @@
 // only add noise, not change the comparison (see DESIGN.md §3).
 //
 // There is one kernel (kernel.go): typed events on per-lane heaps, and one
-// implementation of the copy rules. It runs under one of two scheduling
-// policies, selected by the ShardConfig zero value:
+// implementation of the copy rules. It runs under one of three scheduling
+// policies, selected by the entry point and the ShardConfig zero value:
 //
 //   - Single queue (the default): one lane, one virtual clock, strictly
 //     (time, seq)-ordered, single threaded. One fault stream per run; ARQ
@@ -22,7 +22,16 @@
 //     while staying byte-identical for any shard count. Per-tile fault
 //     streams; ARQ give-up is an event in the sender's lane one backed-off
 //     timeout later; churn applies at window barriers (shard_churn.go);
-//     tracing panics. See DESIGN.md §2.4.
+//     tracing panics.
+//   - Hop-ordered (Engine.RunHops): one session on one lane, each
+//     transmission arriving exactly one hop later with no airtime or
+//     serialization, so copies arrive in hop order, FIFO at equal hops. No
+//     faults, ARQ, churn or sharding; copies are recycled after each
+//     decision. The gmpd route walk runs on it.
+//
+// The single-queue and hop-ordered policies report every copy event — a
+// transmission or a copy's death — to the observer installed with
+// SetTracer. See DESIGN.md §2.4.
 package sim
 
 // eventKind discriminates the kernel's typed events. Events are plain data

@@ -60,8 +60,15 @@ type Collector struct {
 	events []sim.TraceEvent
 }
 
-// Record implements sim.TraceFunc.
-func (c *Collector) Record(ev sim.TraceEvent) { c.events = append(c.events, ev) }
+// Record implements sim.TraceFunc. It keeps transmissions only, each
+// detached from the engine's packet storage.
+func (c *Collector) Record(ev sim.TraceEvent) {
+	if !ev.Died {
+		ev.Dests = append([]int(nil), ev.Dests...)
+		ev.Pkt = nil
+		c.events = append(c.events, ev)
+	}
+}
 
 // Events returns the recorded events in send order.
 func (c *Collector) Events() []sim.TraceEvent { return c.events }

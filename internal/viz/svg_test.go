@@ -11,6 +11,7 @@ import (
 	"gmp/internal/routing"
 	"gmp/internal/sim"
 	"gmp/internal/steiner"
+	"gmp/internal/trace"
 	"gmp/internal/view"
 )
 
@@ -114,17 +115,17 @@ func TestRenderTaskWithPerimeter(t *testing.T) {
 	pg := planar.Planarize(nw, planar.Gabriel)
 	en := sim.NewEngine(nw, sim.DefaultRadioParams(), 100)
 	en.SetViews(view.NewOracle(nw, pg))
-	var events []sim.TraceEvent
-	en.SetTracer(func(ev sim.TraceEvent) { events = append(events, ev) })
+	var c trace.Collector
+	en.SetTracer(c.Record)
 	en.RunTask(routing.NewGMP(), 0, []int{50, 70})
 	en.SetTracer(nil)
-	out := RenderTask(nw, pg, events, 0, []int{50, 70})
+	out := RenderTask(nw, pg, c.Events(), 0, []int{50, 70})
 	for _, want := range []string{"<svg", "s0", "d50", "d70"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("task rendering missing %q", want)
 		}
 	}
-	if len(events) > 0 && !strings.Contains(out, "#2ca02c") {
+	if len(c.Events()) > 0 && !strings.Contains(out, "#2ca02c") {
 		t.Fatal("greedy trace color missing")
 	}
 }
